@@ -54,7 +54,6 @@ from .quality import (
     IndexSelection,
     QualityScore,
     RhoPolicy,
-    epsilon_score,
     score_and_approx_mean,
     select_indices,
 )

@@ -5,8 +5,9 @@ generalized trade-off/variance-family weight constructions, the classical
 expert-aggregation baselines (MOE, POE, GPOE, BCM, RBCM) and the joint
 prediction that ties them to the per-agent models.
 
-All functions read immutable model snapshots; plans for distinct
-(agent, query) pairs may be computed concurrently.
+All functions read immutable model snapshots. A query round scores every
+agent once (:func:`evaluate_round`) and every requester selects and weights
+from that shared table.
 """
 
 from __future__ import annotations
@@ -75,6 +76,25 @@ class MethodSpec:
 
 
 @dataclass
+class AgentEvaluation:
+    """One agent's evaluation at a round's query, shared by every requester.
+
+    ``score`` and ``mean`` (the truncated mean) come from one
+    :func:`score_and_approx_mean` call; ``variance`` is the posterior
+    variance, filled the first time a requester needs it.
+    """
+
+    score: QualityScore
+    mean: np.ndarray
+    variance: float | None = None
+
+    def posterior_var(self, model: AgentModel, x) -> float:
+        if self.variance is None:
+            self.variance = model.posterior_var(x)
+        return self.variance
+
+
+@dataclass
 class AggregationPlan:
     """Selected collaborators and their per-dimension weights for one query."""
 
@@ -86,8 +106,19 @@ class AggregationPlan:
     theta: float | None = None
     tradeoff: str | None = None
     degenerate: bool = False  # set when every neighborhood model was empty
-    scores: dict[int, QualityScore] | None = None
-    approx_means: dict[int, np.ndarray] | None = None
+    evaluations: dict[int, AgentEvaluation] | None = None  # the round table; None for baselines
+
+
+def evaluate_round(
+    agents, x, models: dict[int, AgentModel], method: MethodSpec
+) -> dict[int, AgentEvaluation]:
+    """Score each of ``agents`` once at ``x``: the table every requester reads."""
+    return {
+        s: AgentEvaluation(
+            *score_and_approx_mean(models[s], x, method.rho_policy, method.lam, agent_id=s)
+        )
+        for s in agents
+    }
 
 
 # ----------------------------------------------------------------------
@@ -120,11 +151,6 @@ def greedy_select(requester: int, scores: dict[int, float], d: int = 1) -> Aggre
         weights={best: np.ones(d)},
         method="gEIGP",
     )
-
-
-def population_std(values) -> float:
-    """Divide-by-count standard deviation of a finite score set."""
-    return float(np.std(np.asarray(list(values), dtype=float)))
 
 
 def gaussianize_epsilon(scores: dict[int, float]) -> dict[int, float]:
@@ -171,7 +197,7 @@ def adaptive_select(
         return sentinels, phi
     values = [scores[s] for s in scores]
     top = max(values)
-    threshold = top - theta * population_std(values)
+    threshold = top - theta * float(np.std(values))
     phi = {s: (1 if scores[s] >= threshold else 0) for s in scores}
     selected = tuple(s for s in sorted(scores) if phi[s])
     return selected, phi
@@ -376,30 +402,26 @@ def joint_predict(
     graph: Graph,
     method: MethodSpec,
     cfg: KernelConfig,
-    collect_diagnostics: bool = False,
+    evaluations: dict[int, AgentEvaluation] | None = None,
 ) -> tuple[np.ndarray, AggregationPlan]:
     """One agent's cooperative prediction at a query point.
 
-    EIGP methods score every neighborhood model, select collaborators and
-    combine their truncated means; baselines engage the whole neighborhood
-    with classical per-query expert predictions. If every neighborhood
-    model is empty the prior mean 0 is returned with a flagged plan.
+    EIGP methods select collaborators from the round's ``evaluations``
+    (built for the closed neighborhood when not given) and combine their
+    truncated means; baselines engage the whole neighborhood with classical
+    per-query expert predictions. If every neighborhood model is empty the
+    prior mean 0 is returned with a flagged plan.
     """
     d = cfg.output_dim
     neighborhood = graph.closed_neighborhood(requester)
     if method.is_baseline:
         return _baseline_predict(requester, x, models, neighborhood, method, cfg)
+    if evaluations is None:
+        evaluations = evaluate_round(neighborhood, x, models, method)
 
-    scores: dict[int, QualityScore] = {}
-    approx_means: dict[int, np.ndarray] = {}
-    for s in neighborhood:
-        score, mu = score_and_approx_mean(
-            models[s], x, method.rho_policy, method.lam, agent_id=s
-        )
-        scores[s] = score
-        approx_means[s] = mu
-
+    eps = {s: evaluations[s].score.epsilon for s in neighborhood}
     if all(models[s].n == 0 for s in neighborhood):
+        # the requester's own empty model contributes the prior mean 0
         plan = AggregationPlan(
             requester=requester,
             selected=(requester,),
@@ -407,10 +429,7 @@ def joint_predict(
             method=method.name,
             degenerate=True,
         )
-        return np.zeros(d), plan
-
-    eps = {s: scores[s].epsilon for s in neighborhood}
-    if method.name == "gEIGP":
+    elif method.name == "gEIGP":
         plan = greedy_select(requester, eps, d)
     else:
         selected, phi = adaptive_select(eps, method.theta)
@@ -419,7 +438,7 @@ def joint_predict(
         if method.nu == 1.0:
             weights = proportional_normalize(tilde_w)
         else:
-            variances = {s: models[s].posterior_var(x) for s in selected}
+            variances = {s: evaluations[s].posterior_var(models[s], x) for s in selected}
             if method.tradeoff is None:
                 weights = aeigp_weights(tilde_w, variances, method.nu, cfg)
             else:
@@ -438,13 +457,11 @@ def joint_predict(
             theta=method.theta,
             tradeoff=method.tradeoff.kind if method.tradeoff else None,
         )
+    plan.evaluations = evaluations
 
     prediction = np.zeros(d)
     for s in plan.selected:
-        prediction += plan.weights[s] * approx_means[s]
-    if collect_diagnostics:
-        plan.scores = scores
-        plan.approx_means = approx_means
+        prediction += plan.weights[s] * evaluations[s].mean
     return prediction, plan
 
 

@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .datasets import load_dataset, toy_stream, write_dataset
 from .errors import ComparisonError, EigpError
 from .graph import build_graph
-from .sim import StreamSchedule, run_offline_toy, run_online, toy_mean
+from .sim import TOY_INTERVAL, StreamSchedule, run_offline_toy, run_online, toy_function
 
 OUT_DIR_ENV = "EIGP_OUT_DIR"
 
@@ -109,8 +109,8 @@ def _build_bounds(config: ExperimentConfig, dataset) -> BoundParams | None:
     elif dataset is not None:
         lower, upper = dataset.lower, dataset.upper
     else:
-        lower = [-1.2] * cfg.input_dim
-        upper = [1.2] * cfg.input_dim
+        lower = [TOY_INTERVAL[0]] * cfg.input_dim
+        upper = [TOY_INTERVAL[1]] * cfg.input_dim
     return BoundParams.for_kernel(
         cfg, config.bounds.tau, config.bounds.delta, config.bounds.delta_n, lower, upper
     )
@@ -226,17 +226,17 @@ def cmd_compare(args) -> int:
 def cmd_gen_toy(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.grid:
-        xs = np.linspace(-1.2, 1.2, args.rows)
+        xs = np.linspace(*TOY_INTERVAL, args.rows)
     else:
-        xs = rng.uniform(-1.2, 1.2, size=args.rows)
-    ys = toy_mean(xs) + rng.normal(0.0, 0.5, size=args.rows)
-    write_dataset(args.out, xs[:, None], ys[:, None])
+        xs = rng.uniform(*TOY_INTERVAL, size=args.rows)
+    write_dataset(args.out, xs[:, None], toy_function(xs, rng)[:, None])
     print(f"wrote {args.rows} rows to {args.out}")
     return 0
 
 
 def cmd_validate_config(args) -> int:
     config = ExperimentConfig.from_json(args.config)
+    build_graph(config.graph, config.agents)
     print(f"config OK: scenario={config.scenario} method={config.method} seed={config.seed}")
     return 0
 

@@ -19,10 +19,8 @@ from .model import AgentModel
 class IngestReport:
     """What one bounded-memory ingest did to its model."""
 
-    appended: bool
     deleted_index: int | None
     dataset_size_after: int
-    errors_refreshed: bool
 
 
 def find_deletion(model: AgentModel, x_incoming) -> int:
@@ -67,9 +65,4 @@ def ingest(model: AgentModel, x, y, capacity: int) -> IngestReport:
         deleted = find_deletion(model, x)
         delete_and_reallocate(model, deleted)
     model.append_point(x, y)
-    return IngestReport(
-        appended=True,
-        deleted_index=deleted,
-        dataset_size_after=model.n,
-        errors_refreshed=True,
-    )
+    return IngestReport(deleted_index=deleted, dataset_size_after=model.n)

@@ -171,50 +171,6 @@ class AgentModel:
             var = 0.0
         return var
 
-    def posterior_mean_via_errors(self, x, j: int = 0) -> float:
-        """Posterior mean recomputed from the cached error vector.
-
-        Evaluates the error-informed form -(1/noise) * sum_p errors[j][p] *
-        kappa(x, x_p), which must agree with :meth:`posterior_mean`.
-        """
-        self._check_error_cache()
-        if self.n == 0:
-            return 0.0
-        k = kernel_vec(self.cfg, self.X, x)
-        return float(np.dot(k, self.errors[j])) * (-1.0 / self.cfg.noise_variance)
-
-    def approx_mean(self, x, idx, j: int = 0) -> float:
-        """Truncated posterior mean using only the index set of ``idx``.
-
-        With a complete index set this equals
-        :meth:`posterior_mean_via_errors` exactly; an empty set gives 0.
-        """
-        self._check_error_cache()
-        included = np.asarray(idx.included, dtype=int)
-        if included.size and included.max() >= self.n:
-            raise InvalidInputError("index selection refers to points beyond the dataset")
-        if included.size == 0:
-            return 0.0
-        k = idx.kernel_values if idx.kernel_values is not None else kernel_vec(self.cfg, self.X, x)
-        if included.size == self.n:
-            k_sel, e_sel = k, self.errors[j]
-        else:
-            k_sel, e_sel = k[included], self.errors[j][included]
-        return float(np.dot(k_sel, e_sel)) * (-1.0 / self.cfg.noise_variance)
-
-    def approx_mean_vector(self, idx) -> np.ndarray:
-        """All output dimensions of the truncated mean as one (d,) vector."""
-        self._check_error_cache()
-        included = np.asarray(idx.included, dtype=int)
-        if included.size == 0:
-            return np.zeros(self.cfg.output_dim)
-        k = idx.kernel_values
-        if included.size == self.n:
-            num = self.errors @ k
-        else:
-            num = self.errors[:, included] @ k[included]
-        return num * (-1.0 / self.cfg.noise_variance)
-
     def classical_predict(self, x) -> tuple[np.ndarray, float]:
         """Means of all dimensions plus the variance via a per-query solve.
 
@@ -236,13 +192,6 @@ class AgentModel:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-
-    def _check_error_cache(self) -> None:
-        if self.errors.shape != (self.cfg.output_dim, self.n):
-            raise InternalConsistencyError(
-                f"error cache shape {self.errors.shape} does not match "
-                f"({self.cfg.output_dim}, {self.n})"
-            )
 
     def validate_cache(self, rtol: float = 1e-9) -> None:
         """Raise if any cached quantity disagrees with a recomputation."""

@@ -112,53 +112,31 @@ def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
     )
 
 
-def _weighted_error_sum(model: AgentModel, idx: IndexSelection) -> np.ndarray:
-    """sum_{p in included} kappa(x_p, x) * errors(x_p) as a (d,) vector."""
-    included = idx.included
-    if included.size == 0:
-        return np.zeros(model.cfg.output_dim)
-    k = idx.kernel_values
-    if included.size == model.n:
-        return model.errors @ k
-    return model.errors[:, included] @ k[included]
-
-
-def epsilon_score(
-    model: AgentModel, x, idx: IndexSelection, lam: float = 1.0, agent_id: int = -1
-) -> QualityScore:
-    """Distance-aware quality score of one agent at one query.
-
-    epsilon = ||sum_{p in I} kappa(x_p, x) e(x_p)|| / (lam * rho * |excluded|),
-    with the infinity sentinel when nothing is excluded. ``lam`` may be set
-    to 1 for selection-only use: it rescales every agent's score equally and
-    changes no argmax or threshold decision.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_excluded = int(idx.excluded.size)
-    if n_excluded == 0:
-        return QualityScore(math.inf, idx, x, agent_id)
-    if lam <= 0:
-        raise InvalidInputError("lam must be positive")
-    if idx.rho <= 0:
-        raise InvalidInputError("rho must be positive when points are excluded")
-    num = float(np.linalg.norm(_weighted_error_sum(model, idx)))
-    return QualityScore(num / (lam * idx.rho * n_excluded), idx, x, agent_id)
-
-
 def score_and_approx_mean(
     model: AgentModel, x, policy: RhoPolicy, lam: float = 1.0, agent_id: int = -1
 ) -> tuple[QualityScore, np.ndarray]:
-    """Index selection, epsilon and truncated mean in one pass.
+    """Distance-aware quality score and truncated mean of one agent at one query.
 
-    The weighted error sum is shared between the score numerator and the
-    truncated mean, so the combined evaluation costs one kernel vector.
-    An empty model yields the infinity sentinel and the prior mean 0.
+    With the weighted error sum num = sum_{p in I} kappa(x_p, x) e(x_p),
+    epsilon = ||num|| / (lam * rho * |excluded|), with the infinity sentinel
+    when nothing is excluded, and the truncated mean is -num / noise. The
+    shared sum makes the evaluation cost one kernel vector. ``lam`` may be
+    set to 1 for selection-only use: it rescales every agent's score equally
+    and changes no argmax or threshold decision. An empty model yields the
+    infinity sentinel and the prior mean 0.
     """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if model.n == 0:
-        score = QualityScore(math.inf, empty_selection(policy), np.atleast_1d(np.asarray(x, dtype=float)), agent_id)
+        score = QualityScore(math.inf, empty_selection(policy), x, agent_id)
         return score, np.zeros(model.cfg.output_dim)
     idx = select_indices(model, x, policy)
-    num_vec = _weighted_error_sum(model, idx)
+    included, k = idx.included, idx.kernel_values
+    if included.size == 0:
+        num_vec = np.zeros(model.cfg.output_dim)
+    elif included.size == model.n:
+        num_vec = model.errors @ k
+    else:
+        num_vec = model.errors[:, included] @ k[included]
     tilde_mu = num_vec * (-1.0 / model.cfg.noise_variance)
     n_excluded = int(idx.excluded.size)
     if n_excluded == 0:
@@ -167,5 +145,4 @@ def score_and_approx_mean(
         if lam <= 0:
             raise InvalidInputError("lam must be positive")
         eps = float(np.linalg.norm(num_vec)) / (lam * idx.rho * n_excluded)
-    score = QualityScore(eps, idx, np.atleast_1d(np.asarray(x, dtype=float)), agent_id)
-    return score, tilde_mu
+    return QualityScore(eps, idx, x, agent_id), tilde_mu

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import AggregationPlan, MethodSpec, joint_predict
+from .aggregation import AggregationPlan, MethodSpec, evaluate_round, joint_predict
 from .bounds import BoundParams, eta_bound, tilde_eta
 from .errors import InvalidInputError, MetricError
 from .graph import Graph, fully_connected
@@ -135,44 +136,52 @@ class SimResult:
 
 
 class _RunningSmse:
-    """Cumulative and windowed SMSE over pooled per-agent predictions."""
+    """Cumulative and windowed SMSE over pooled per-agent predictions.
+
+    The cumulative target variance is a Welford update over the targets
+    shifted by the first one, so a large common offset loses no precision.
+    """
 
     def __init__(self, window: int):
-        self.window = window
         self._sq_err = 0.0
         self._err_count = 0
-        self._t_sum = 0.0
-        self._t_sq_sum = 0.0
+        self._t_shift: float | None = None
         self._t_count = 0
-        self._history: list[tuple[np.ndarray, np.ndarray]] = []
+        self._t_mean = 0.0  # of the shifted targets
+        self._t_m2 = 0.0
+        self._history: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=window)
 
     def update(self, predictions: dict[int, np.ndarray], truth: np.ndarray):
         for pred in predictions.values():
             self._sq_err += float(np.sum((pred - truth) ** 2))
             self._err_count += truth.size
-        self._t_sum += float(np.sum(truth))
-        self._t_sq_sum += float(np.sum(truth**2))
-        self._t_count += truth.size
+        if self._t_shift is None:
+            self._t_shift = float(truth[0])
+        for t in truth.tolist():
+            t -= self._t_shift
+            self._t_count += 1
+            delta = t - self._t_mean
+            self._t_mean += delta / self._t_count
+            self._t_m2 += delta * (t - self._t_mean)
         preds = np.stack(list(predictions.values()))
         self._history.append((preds, truth))
 
     def cumulative(self) -> float:
         if self._t_count < 2:
             return math.nan
-        var = self._t_sq_sum / self._t_count - (self._t_sum / self._t_count) ** 2
+        var = self._t_m2 / self._t_count
         if var <= 0.0:
             return math.nan
         return (self._sq_err / self._err_count) / var
 
     def windowed(self) -> float:
-        tail = self._history[-self.window :]
-        if len(tail) < 2:
+        if len(self._history) < 2:
             return math.nan
-        truths = np.stack([t for _, t in tail])
+        truths = np.stack([t for _, t in self._history])
         var = float(np.var(truths))
         if var <= 0.0:
             return math.nan
-        mse = float(np.mean([np.mean((p - t) ** 2) for p, t in tail]))
+        mse = float(np.mean([np.mean((p - t) ** 2) for p, t in self._history]))
         return mse / var
 
 
@@ -182,16 +191,18 @@ def predict_round(
     x,
     method: MethodSpec,
     cfg: KernelConfig,
-    collect_diagnostics: bool = False,
 ) -> tuple[dict[int, np.ndarray], dict[int, AggregationPlan], float]:
-    """All agents' joint predictions at one query, with wall-clock timing."""
+    """All agents' joint predictions at one query, with wall-clock timing.
+
+    EIGP methods score every agent once into a table that all requesters
+    share; the timing covers building it.
+    """
     preds: dict[int, np.ndarray] = {}
     plans: dict[int, AggregationPlan] = {}
     start = time.perf_counter()
+    table = None if method.is_baseline else evaluate_round(graph.nodes, x, models, method)
     for i in graph.nodes:
-        preds[i], plans[i] = joint_predict(
-            i, x, models, graph, method, cfg, collect_diagnostics
-        )
+        preds[i], plans[i] = joint_predict(i, x, models, graph, method, cfg, table)
     elapsed = time.perf_counter() - start
     return preds, plans, elapsed
 
@@ -201,10 +212,13 @@ def _round_bounds(
     bounds: BoundParams,
     models: dict[int, AgentModel],
     method: MethodSpec,
-) -> dict[int, float] | None:
-    """Per-agent aggregated error bounds from the round's diagnostics."""
-    if any(plans[i].scores is None for i in plans):
-        return None
+) -> dict[int, float]:
+    """Per-agent aggregated error bounds from the round's shared evaluations.
+
+    Each selected agent's single-model bound tilde_eta is computed once; a
+    requester's bound is the weighted sum over its collaborators.
+    """
+    tilde: dict[int, float] = {}
     hat: dict[int, float] = {}
     for i, plan in plans.items():
         if plan.degenerate:
@@ -212,11 +226,13 @@ def _round_bounds(
             continue
         total = 0.0
         for s in plan.selected:
-            score = plan.scores[s]
-            eta = eta_bound(models[s], score.idx, bounds.beta)
-            # scores may have been computed at the selection-mode lam
-            eps = score.epsilon * (method.lam / bounds.lam)
-            total += float(plan.weights[s][0]) * tilde_eta(eta, eps, plan.approx_means[s])
+            if s not in tilde:
+                entry = plan.evaluations[s]
+                eta = eta_bound(models[s], entry.score.idx, bounds.beta)
+                # scores may have been computed at the selection-mode lam
+                eps = entry.score.epsilon * (method.lam / bounds.lam)
+                tilde[s] = tilde_eta(eta, eps, entry.mean)
+            total += float(plan.weights[s][0]) * tilde[s]
         hat[i] = total
     return hat
 
@@ -281,12 +297,9 @@ def run_offline_toy(
     truths = toy_mean(queries)
 
     tracker = _RunningSmse(window)
-    collect = bounds is not None and not method.is_baseline
     records = []
     for k in range(query_points):
-        preds, plans, elapsed = predict_round(
-            models, graph, [queries[k]], method, cfg, collect
-        )
+        preds, plans, elapsed = predict_round(models, graph, [queries[k]], method, cfg)
         records.append(
             _record_step(
                 k, [queries[k]], [truths[k]], preds, plans, elapsed,
@@ -324,11 +337,10 @@ def run_online(
     models = {i: AgentModel(cfg) for i in graph.nodes}
     deletions = {i: 0 for i in graph.nodes}
     tracker = _RunningSmse(window)
-    collect = bounds is not None and not method.is_baseline
     records = []
     for k in range(stream_X.shape[0]):
         x, y = stream_X[k], stream_Y[k]
-        preds, plans, elapsed = predict_round(models, graph, x, method, cfg, collect)
+        preds, plans, elapsed = predict_round(models, graph, x, method, cfg)
         records.append(
             _record_step(k, x, y, preds, plans, elapsed, tracker, bounds, models, method)
         )

@@ -313,9 +313,9 @@ def test_geigp_prediction_is_selected_agents_mean():
     rng = np.random.default_rng(3)
     models, graph = build_scenario(rng)
     method = MethodSpec("gEIGP", rho_policy=RhoPolicy("mean"))
-    pred, plan = joint_predict(1, [0.1], models, graph, method, CFG, collect_diagnostics=True)
+    pred, plan = joint_predict(1, [0.1], models, graph, method, CFG)
     (chosen,) = plan.selected
-    assert pred[0] == plan.approx_means[chosen][0]  # weight one, bit exact
+    assert pred[0] == plan.evaluations[chosen].mean[0]  # weight one, bit exact
 
 
 def test_identical_models_give_common_prediction():
@@ -339,8 +339,8 @@ def test_prediction_is_weighted_sum_of_collaborator_means():
     rng = np.random.default_rng(5)
     models, graph = build_scenario(rng)
     method = MethodSpec("aEIGP", nu=0.5, theta=2.0)
-    pred, plan = joint_predict(2, [3.9], models, graph, method, CFG, collect_diagnostics=True)
-    manual = sum(plan.weights[s][0] * plan.approx_means[s][0] for s in plan.selected)
+    pred, plan = joint_predict(2, [3.9], models, graph, method, CFG)
+    manual = sum(plan.weights[s][0] * plan.evaluations[s].mean[0] for s in plan.selected)
     assert pred[0] == pytest.approx(manual, rel=1e-12)
     assert_simplex(plan.weights)
 
@@ -350,9 +350,9 @@ def test_prediction_in_convex_hull_per_dimension():
     models, graph = build_scenario(rng, n_agents=4)
     for name in ("aEIGP", "MOE", "POE", "GPOE", "BCM", "RBCM"):
         method = MethodSpec(name, nu=0.5, theta=1.0)
-        pred, plan = joint_predict(1, [2.0], models, graph, method, CFG, collect_diagnostics=True)
-        if plan.approx_means is not None:
-            parts = [plan.approx_means[s][0] for s in plan.selected]
+        pred, plan = joint_predict(1, [2.0], models, graph, method, CFG)
+        if plan.evaluations is not None:
+            parts = [plan.evaluations[s].mean[0] for s in plan.selected]
         else:
             parts = [models[s].classical_predict([2.0])[0][0] for s in plan.selected]
         assert min(parts) - 1e-12 <= pred[0] <= max(parts) + 1e-12

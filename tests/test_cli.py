@@ -1,9 +1,14 @@
 """End-to-end CLI commands and artifact contracts."""
 
+import argparse
 import json
 
-from eigp import ExperimentConfig
-from eigp.cli import main
+import numpy as np
+import pytest
+
+from eigp import ExperimentConfig, InvalidInputError, load_dataset, toy_function
+from eigp.cli import cmd_validate_config, main
+from eigp.sim import TOY_INTERVAL
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -24,8 +29,6 @@ def write_config(tmp_path, name="config.json", **overrides):
 def test_gen_toy_roundtrips_through_loader(tmp_path):
     out = tmp_path / "toy.csv"
     assert main(["gen-toy", "--out", str(out), "--rows", "50", "--seed", "3"]) == 0
-    from eigp import load_dataset
-
     ds = load_dataset(out, 1, 1)
     assert len(ds) == 50
 
@@ -162,3 +165,28 @@ def test_bounds_config_populates_hat_eta(tmp_path):
     first = lines[1].split(",")
     assert first[-1] != ""  # hat_eta column filled for EIGP methods
     assert float(first[-1]) > 0
+
+
+def test_gen_toy_draws_the_toy_function(tmp_path):
+    uniform, grid = tmp_path / "uniform.csv", tmp_path / "grid.csv"
+    assert main(["gen-toy", "--out", str(uniform), "--rows", "40", "--seed", "4"]) == 0
+    assert main(["gen-toy", "--out", str(grid), "--rows", "40", "--seed", "4", "--grid"]) == 0
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(*TOY_INTERVAL, size=40)
+    ds = load_dataset(uniform, 1, 1)
+    assert np.array_equal(ds.X[:, 0], xs)
+    assert np.array_equal(ds.Y[:, 0], toy_function(xs, rng))
+    rng = np.random.default_rng(4)
+    xs = np.linspace(*TOY_INTERVAL, 40)
+    ds = load_dataset(grid, 1, 1)
+    assert np.array_equal(ds.X[:, 0], xs)
+    assert np.array_equal(ds.Y[:, 0], toy_function(xs, rng))
+
+
+def test_validate_config_rejects_bad_graph(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"graph": [[1, 1], [2, 9]], "agents": 3}))
+    assert main(["validate-config", "--config", str(path)]) == 1
+    assert "self-loop" in capsys.readouterr().err
+    with pytest.raises(InvalidInputError):
+        cmd_validate_config(argparse.Namespace(config=str(path)))

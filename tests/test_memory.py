@@ -88,10 +88,8 @@ def test_ingest_under_capacity_never_deletes():
     model = AgentModel(CFG)
     for k in range(3):
         report = ingest(model, [float(k)], [0.0], capacity=3)
-        assert report.appended
         assert report.deleted_index is None
         assert report.dataset_size_after == k + 1
-        assert report.errors_refreshed
 
 
 def test_ingest_at_capacity_deletes_exactly_one():

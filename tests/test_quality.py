@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eigp import AgentModel, InvalidInputError, KernelConfig, kernel_eval
-from eigp.quality import RhoPolicy, epsilon_score, score_and_approx_mean, select_indices
+from eigp.quality import RhoPolicy, score_and_approx_mean, select_indices
+from oracles import approx_mean
 
 UNIT = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1.0)
 
@@ -69,16 +70,14 @@ def test_select_indices_needs_data():
 
 def test_epsilon_sentinel_when_nothing_excluded():
     model = make_model([0.0, 0.1], [1.0, 1.2])
-    idx = select_indices(model, [0.0], RhoPolicy("min"))
-    score = epsilon_score(model, [0.0], idx, lam=2.0)
+    score, _ = score_and_approx_mean(model, [0.0], RhoPolicy("min"), lam=2.0)
     assert math.isinf(score.epsilon)
 
 
 def test_epsilon_zero_for_zero_errors():
     model = make_model([0.0, 3.0], [0.0, 0.0])
-    idx = select_indices(model, [0.0], RhoPolicy("constant", 0.5))
-    assert idx.excluded.size == 1
-    score = epsilon_score(model, [0.0], idx, lam=1.0)
+    score, _ = score_and_approx_mean(model, [0.0], RhoPolicy("constant", 0.5), lam=1.0)
+    assert score.idx.excluded.size == 1
     assert score.epsilon == 0.0
 
 
@@ -87,10 +86,9 @@ def test_epsilon_hand_case():
     # the error at x = 0 stays exactly -1 (the 1-point hand solve).
     model = make_model([0.0, 100.0], [2.0, 0.0])
     assert model.errors[0, 0] == pytest.approx(-1.0, rel=1e-14)
-    idx = select_indices(model, [0.0], RhoPolicy("constant", 0.3))
-    assert idx.included.tolist() == [0]
-    assert idx.excluded.tolist() == [1]
-    score = epsilon_score(model, [0.0], idx, lam=2.0)
+    score, _ = score_and_approx_mean(model, [0.0], RhoPolicy("constant", 0.3), lam=2.0)
+    assert score.idx.included.tolist() == [0]
+    assert score.idx.excluded.tolist() == [1]
     # |kappa(0,0) * e_0| / (lam * rho * 1) = 1 / 0.6
     assert score.epsilon == pytest.approx(1.0 / 0.6, rel=1e-12)
     assert score.epsilon == pytest.approx(1.6667, abs=5e-4)
@@ -98,9 +96,8 @@ def test_epsilon_hand_case():
 
 def test_epsilon_requires_positive_lam():
     model = make_model([0.0, 3.0], [1.0, 1.0])
-    idx = select_indices(model, [0.0], RhoPolicy("constant", 0.5))
     with pytest.raises(InvalidInputError):
-        epsilon_score(model, [0.0], idx, lam=0.0)
+        score_and_approx_mean(model, [0.0], RhoPolicy("constant", 0.5), lam=0.0)
 
 
 def test_epsilon_homogeneous_in_errors():
@@ -110,10 +107,8 @@ def test_epsilon_homogeneous_in_errors():
     base = make_model(X, Y)
     scaled = make_model(X, 3.0 * Y)
     x = [0.2]
-    idx_a = select_indices(base, x, RhoPolicy("mean"))
-    idx_b = select_indices(scaled, x, RhoPolicy("mean"))
-    ea = epsilon_score(base, x, idx_a).epsilon
-    eb = epsilon_score(scaled, x, idx_b).epsilon
+    ea = score_and_approx_mean(base, x, RhoPolicy("mean"))[0].epsilon
+    eb = score_and_approx_mean(scaled, x, RhoPolicy("mean"))[0].epsilon
     assert eb == pytest.approx(3.0 * ea, rel=1e-10)
 
 
@@ -124,10 +119,11 @@ def test_score_and_approx_mean_consistent_with_parts():
     policy = RhoPolicy("mean")
     score, mu = score_and_approx_mean(model, x, policy, lam=1.5, agent_id=4)
     idx = select_indices(model, x, policy)
-    ref = epsilon_score(model, x, idx, lam=1.5, agent_id=4)
-    assert score.epsilon == pytest.approx(ref.epsilon, rel=1e-14)
+    # epsilon from its definition: ||sum_I kappa e|| / (lam * rho * |excluded|)
+    num = abs(float(idx.kernel_values[idx.included] @ model.errors[0, idx.included]))
+    assert score.epsilon == pytest.approx(num / (1.5 * idx.rho * idx.excluded.size), rel=1e-14)
     assert score.agent_id == 4
-    assert mu[0] == pytest.approx(model.approx_mean(x, idx), rel=1e-12, abs=1e-15)
+    assert mu[0] == pytest.approx(approx_mean(model, x, idx), rel=1e-12, abs=1e-15)
 
 
 def test_score_of_empty_model_is_sentinel_with_prior_mean():

@@ -12,6 +12,7 @@ from eigp import (
     MethodSpec,
     MetricError,
     StreamSchedule,
+    aggregation,
     fully_connected,
     run_offline_toy,
     run_online,
@@ -19,8 +20,10 @@ from eigp import (
     toy_function,
     toy_mean,
 )
+from eigp.aggregation import joint_predict
 from eigp.memory import ingest
 from eigp.quality import RhoPolicy
+from eigp.sim import _RunningSmse, predict_round
 
 CFG = KernelConfig(signal_variance=1.0, lengthscale=0.2, noise_variance=0.25)
 
@@ -144,7 +147,6 @@ def test_online_predictions_are_causal():
     graph = fully_connected(2)
     method = MethodSpec("aEIGP", nu=1.0, theta=1.0)
     result = run_online(CFG, method, graph, xs[:, None], ys[:, None], schedule)
-    from eigp.sim import predict_round
 
     for checkpoint in (0, 7, 18, 29):
         models = {i: AgentModel(CFG) for i in graph.nodes}
@@ -213,3 +215,51 @@ def test_summary_fields():
     assert summary["method"] == "gEIGP"
     assert summary["mean_active_agents"] == 4.0
     assert summary["final_smse"] >= 0.0
+
+
+def test_running_smse_is_exact_for_offset_targets():
+    rng = np.random.default_rng(16)
+    truths = 1e8 + toy_mean(rng.uniform(-1.2, 1.2, size=300))
+    preds = truths + rng.normal(0.0, 0.5, size=300)
+    tracker = _RunningSmse(window=50)
+    for p, t in zip(preds, truths):
+        tracker.update({1: np.array([p])}, np.array([t]))
+    expected = np.mean((preds - truths) ** 2) / np.var(truths)
+    assert tracker.cumulative() == pytest.approx(expected, rel=1e-9)
+    tail_p, tail_t = preds[-50:], truths[-50:]
+    assert tracker.windowed() == pytest.approx(
+        np.mean((tail_p - tail_t) ** 2) / np.var(tail_t), rel=1e-9
+    )
+    assert len(tracker._history) == 50  # only the window is kept
+
+
+def test_predict_round_scores_each_agent_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    models = {}
+    for i in range(1, 5):
+        X = rng.uniform(-1.2, 1.2, size=(30, 1))
+        models[i] = AgentModel.from_data(CFG, X, toy_function(X, rng))
+    graph = fully_connected(4)
+    method = MethodSpec("aEIGP", nu=0.5, theta=1.0)
+    calls = {"score": 0, "var": 0}
+    score, var = aggregation.score_and_approx_mean, AgentModel.posterior_var
+
+    def counted_score(*args, **kwargs):
+        calls["score"] += 1
+        return score(*args, **kwargs)
+
+    def counted_var(self, x):
+        calls["var"] += 1
+        return var(self, x)
+
+    monkeypatch.setattr(aggregation, "score_and_approx_mean", counted_score)
+    monkeypatch.setattr(AgentModel, "posterior_var", counted_var)
+    for x in rng.uniform(-1.2, 1.2, size=(5, 1)):
+        calls.update(score=0, var=0)
+        preds, plans, _ = predict_round(models, graph, x, method, CFG)
+        assert calls["score"] == 4
+        assert 1 <= calls["var"] <= 4
+        for i in graph.nodes:
+            alone, plan = joint_predict(i, x, models, graph, method, CFG)
+            assert np.array_equal(preds[i], alone)
+            assert plan.selected == plans[i].selected

@@ -33,20 +33,19 @@ VARIANCE_FAMILIES = ("poe", "bcm")
 
 @dataclass(frozen=True)
 class TradeoffSpec:
-    """Trade-off function and variance family for the generalized weights."""
+    """Trade-off function and variance family for the generalized weights.
+
+    The blend parameter nu is the method's (:attr:`MethodSpec.nu`).
+    """
 
     kind: str = "power"
-    nu: float = 0.5
     variance_family: str = "bcm"
-    prior_includes_noise: bool = True
 
     def __post_init__(self):
         if self.kind not in TRADEOFF_KINDS:
             raise InvalidInputError(f"unknown trade-off kind {self.kind!r}")
         if self.variance_family not in VARIANCE_FAMILIES:
             raise InvalidInputError(f"unknown variance family {self.variance_family!r}")
-        if not 0.0 <= self.nu <= 1.0:
-            raise InvalidInputError("nu must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class MethodSpec:
     nu: float = 0.5
     theta: float = 1.0
     rho_policy: RhoPolicy = field(default_factory=RhoPolicy)
-    lam: float = 1.0
     tradeoff: TradeoffSpec | None = None
 
     def __post_init__(self):
@@ -67,8 +65,6 @@ class MethodSpec:
             raise InvalidInputError("nu must lie in [0, 1]")
         if self.theta < 0:
             raise InvalidInputError("theta must be nonnegative")
-        if self.lam <= 0:
-            raise InvalidInputError("lam must be positive")
 
     @property
     def is_baseline(self) -> bool:
@@ -112,11 +108,13 @@ class AggregationPlan:
 def evaluate_round(
     agents, x, models: dict[int, AgentModel], method: MethodSpec
 ) -> dict[int, AgentEvaluation]:
-    """Score each of ``agents`` once at ``x``: the table every requester reads."""
+    """Score each of ``agents`` once at ``x``: the table every requester reads.
+
+    Scores are taken at lam = 1: lam rescales every agent's epsilon equally,
+    so it changes no selection or weight.
+    """
     return {
-        s: AgentEvaluation(
-            *score_and_approx_mean(models[s], x, method.rho_policy, method.lam, agent_id=s)
-        )
+        s: AgentEvaluation(*score_and_approx_mean(models[s], x, method.rho_policy, agent_id=s))
         for s in agents
     }
 
@@ -293,7 +291,6 @@ def _family_scores(
     gains: dict[int, float],
     variances: dict[int, float],
     cfg: KernelConfig,
-    prior_includes_noise: bool = True,
 ) -> dict[int, float]:
     """Variance-based aggregation scores for the POE or BCM family."""
     ids = sorted(variances)
@@ -305,8 +302,7 @@ def _family_scores(
     if family == "poe":
         denom = sum(numerators.values())
     else:  # bcm: prior-corrected denominator
-        prior_var = cfg.prior_plus_noise if prior_includes_noise else cfg.kappa0
-        denom = sum(precisions.values()) + (1.0 - sum(gains.values())) / prior_var
+        denom = sum(precisions.values()) + (1.0 - sum(gains.values())) / cfg.prior_plus_noise
     if denom <= 0:
         raise InvalidInputError("variance-family denominator must be positive")
     return {s: numerators[s] / denom for s in ids}
@@ -315,6 +311,7 @@ def _family_scores(
 def generalized_weights(
     tilde_w: dict[int, float],
     variances: dict[int, float],
+    nu: float,
     spec: TradeoffSpec,
     cfg: KernelConfig,
 ) -> dict[int, float]:
@@ -327,12 +324,11 @@ def generalized_weights(
     """
     if set(tilde_w) != set(variances):
         raise InvalidInputError("tilde_w and variances must cover the same agents")
+    if not 0.0 <= nu <= 1.0:
+        raise InvalidInputError("nu must lie in [0, 1]")
     ids = sorted(tilde_w)
     gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
-    family = _family_scores(
-        spec.variance_family, gains, variances, cfg, spec.prior_includes_noise
-    )
-    nu = spec.nu
+    family = _family_scores(spec.variance_family, gains, variances, cfg)
     if spec.kind == "logarithmic":
         for s in ids:
             if tilde_w[s] <= 0 or family[s] <= 0:
@@ -442,12 +438,7 @@ def joint_predict(
             if method.tradeoff is None:
                 weights = aeigp_weights(tilde_w, variances, method.nu, cfg)
             else:
-                spec = method.tradeoff
-                if spec.nu != method.nu:
-                    spec = TradeoffSpec(
-                        spec.kind, method.nu, spec.variance_family, spec.prior_includes_noise
-                    )
-                weights = generalized_weights(tilde_w, variances, spec, cfg)
+                weights = generalized_weights(tilde_w, variances, method.nu, method.tradeoff, cfg)
         plan = AggregationPlan(
             requester=requester,
             selected=selected,

@@ -125,8 +125,7 @@ def _execute(config: ExperimentConfig) -> tuple:
         else:
             dataset = toy_stream(config.steps, np.random.default_rng(config.seed))
     bounds = _build_bounds(config, dataset)
-    lam = bounds.lam if bounds is not None else 1.0
-    method = config.method_spec(lam=lam)
+    method = config.method_spec()
 
     if config.scenario == "toy":
         result = run_offline_toy(

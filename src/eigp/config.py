@@ -91,16 +91,15 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad kernel block: {exc}") from None
 
-    def method_spec(self, lam: float = 1.0) -> MethodSpec:
+    def method_spec(self) -> MethodSpec:
         tradeoff = None
         if self.tradeoff is not None:
-            tradeoff = TradeoffSpec(kind=self.tradeoff, nu=self.nu, variance_family=self.variance_family)
+            tradeoff = TradeoffSpec(kind=self.tradeoff, variance_family=self.variance_family)
         return MethodSpec(
             name=self.method,
             nu=self.nu,
             theta=self.theta,
             rho_policy=RhoPolicy(self.rho_policy, self.rho_value),
-            lam=lam,
             tradeoff=tradeoff,
         )
 

@@ -61,7 +61,6 @@ class QualityScore:
 
     epsilon: float
     idx: IndexSelection
-    x: np.ndarray
     agent_id: int = -1
 
     def __post_init__(self):
@@ -120,14 +119,14 @@ def score_and_approx_mean(
     With the weighted error sum num = sum_{p in I} kappa(x_p, x) e(x_p),
     epsilon = ||num|| / (lam * rho * |excluded|), with the infinity sentinel
     when nothing is excluded, and the truncated mean is -num / noise. The
-    shared sum makes the evaluation cost one kernel vector. ``lam`` may be
-    set to 1 for selection-only use: it rescales every agent's score equally
-    and changes no argmax or threshold decision. An empty model yields the
-    infinity sentinel and the prior mean 0.
+    shared sum makes the evaluation cost one kernel vector. ``lam`` rescales
+    every agent's score equally and changes no argmax or threshold decision,
+    so selection scores at lam = 1 and the bounds divide by the certified
+    lam. An empty model yields the infinity sentinel and the prior mean 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if model.n == 0:
-        score = QualityScore(math.inf, empty_selection(policy), x, agent_id)
+        score = QualityScore(math.inf, empty_selection(policy), agent_id)
         return score, np.zeros(model.cfg.output_dim)
     idx = select_indices(model, x, policy)
     included, k = idx.included, idx.kernel_values
@@ -145,4 +144,4 @@ def score_and_approx_mean(
         if lam <= 0:
             raise InvalidInputError("lam must be positive")
         eps = float(np.linalg.norm(num_vec)) / (lam * idx.rho * n_excluded)
-    return QualityScore(eps, idx, x, agent_id), tilde_mu
+    return QualityScore(eps, idx, agent_id), tilde_mu

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +94,6 @@ class SimRecord:
     active_agents: int
     prediction_time: float
     smse_cum: float
-    smse_window: float
     hat_eta: dict[int, float] | None = None
 
 
@@ -106,6 +104,7 @@ class SimResult:
     records: list[SimRecord]
     method: MethodSpec
     n_agents: int
+    window: int = 100
     deletions: dict[int, int] = field(default_factory=dict)
     final_sizes: dict[int, int] = field(default_factory=dict)
 
@@ -117,6 +116,21 @@ class SimResult:
         ]
         return float(np.mean(errs))
 
+    def window_smse(self) -> float:
+        """SMSE pooled over every agent's predictions in the last ``window`` rounds.
+
+        ``nan`` with fewer than two rounds or a constant window target.
+        """
+        recent = self.records[max(len(self.records) - self.window, 0):]
+        if len(recent) < 2:
+            return math.nan
+        preds = np.array([list(r.predictions.values()) for r in recent])
+        truths = np.array([r.truth for r in recent])[:, None, :]
+        try:
+            return smse(preds, np.broadcast_to(truths, preds.shape))
+        except MetricError:
+            return math.nan
+
     def summary(self) -> dict:
         times_ms = [r.prediction_time * 1e3 for r in self.records]
         return {
@@ -124,7 +138,7 @@ class SimResult:
             "agents": self.n_agents,
             "method": self.method.name,
             "final_smse": self.records[-1].smse_cum if self.records else math.nan,
-            "window_smse": self.records[-1].smse_window if self.records else math.nan,
+            "window_smse": self.window_smse(),
             "mean_abs_error": self.mean_abs_error(),
             "mean_prediction_time_ms": float(np.mean(times_ms)) if times_ms else 0.0,
             "median_prediction_time_ms": float(np.median(times_ms)) if times_ms else 0.0,
@@ -136,20 +150,19 @@ class SimResult:
 
 
 class _RunningSmse:
-    """Cumulative and windowed SMSE over pooled per-agent predictions.
+    """Cumulative SMSE over pooled per-agent predictions.
 
     The cumulative target variance is a Welford update over the targets
     shifted by the first one, so a large common offset loses no precision.
     """
 
-    def __init__(self, window: int):
+    def __init__(self):
         self._sq_err = 0.0
         self._err_count = 0
         self._t_shift: float | None = None
         self._t_count = 0
         self._t_mean = 0.0  # of the shifted targets
         self._t_m2 = 0.0
-        self._history: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=window)
 
     def update(self, predictions: dict[int, np.ndarray], truth: np.ndarray):
         for pred in predictions.values():
@@ -163,8 +176,6 @@ class _RunningSmse:
             delta = t - self._t_mean
             self._t_mean += delta / self._t_count
             self._t_m2 += delta * (t - self._t_mean)
-        preds = np.stack(list(predictions.values()))
-        self._history.append((preds, truth))
 
     def cumulative(self) -> float:
         if self._t_count < 2:
@@ -173,16 +184,6 @@ class _RunningSmse:
         if var <= 0.0:
             return math.nan
         return (self._sq_err / self._err_count) / var
-
-    def windowed(self) -> float:
-        if len(self._history) < 2:
-            return math.nan
-        truths = np.stack([t for _, t in self._history])
-        var = float(np.var(truths))
-        if var <= 0.0:
-            return math.nan
-        mse = float(np.mean([np.mean((p - t) ** 2) for p, t in self._history]))
-        return mse / var
 
 
 def predict_round(
@@ -211,12 +212,12 @@ def _round_bounds(
     plans: dict[int, AggregationPlan],
     bounds: BoundParams,
     models: dict[int, AgentModel],
-    method: MethodSpec,
 ) -> dict[int, float]:
     """Per-agent aggregated error bounds from the round's shared evaluations.
 
     Each selected agent's single-model bound tilde_eta is computed once; a
-    requester's bound is the weighted sum over its collaborators.
+    requester's bound is the weighted sum over its collaborators. The round
+    scores at lam = 1, so epsilon is divided by the certified ``bounds.lam``.
     """
     tilde: dict[int, float] = {}
     hat: dict[int, float] = {}
@@ -229,9 +230,7 @@ def _round_bounds(
             if s not in tilde:
                 entry = plan.evaluations[s]
                 eta = eta_bound(models[s], entry.score.idx, bounds.beta)
-                # scores may have been computed at the selection-mode lam
-                eps = entry.score.epsilon * (method.lam / bounds.lam)
-                tilde[s] = tilde_eta(eta, eps, entry.mean)
+                tilde[s] = tilde_eta(eta, entry.score.epsilon / bounds.lam, entry.mean)
             total += float(plan.weights[s][0]) * tilde[s]
         hat[i] = total
     return hat
@@ -245,7 +244,7 @@ def _record_step(
     sizes = {i: len(plans[i].selected) for i in plans}
     hat = None
     if bounds is not None and not method.is_baseline:
-        hat = _round_bounds(plans, bounds, models, method)
+        hat = _round_bounds(plans, bounds, models)
     return SimRecord(
         iteration=k,
         query=np.atleast_1d(np.asarray(x, dtype=float)),
@@ -255,7 +254,6 @@ def _record_step(
         active_agents=sum(sizes.values()),
         prediction_time=elapsed,
         smse_cum=tracker.cumulative(),
-        smse_window=tracker.windowed(),
         hat_eta=hat,
     )
 
@@ -296,7 +294,7 @@ def run_offline_toy(
     queries = np.linspace(*TOY_INTERVAL, query_points)
     truths = toy_mean(queries)
 
-    tracker = _RunningSmse(window)
+    tracker = _RunningSmse()
     records = []
     for k in range(query_points):
         preds, plans, elapsed = predict_round(models, graph, [queries[k]], method, cfg)
@@ -310,6 +308,7 @@ def run_offline_toy(
         records=records,
         method=method,
         n_agents=n_agents,
+        window=window,
         final_sizes={i: models[i].n for i in models},
     )
 
@@ -336,7 +335,7 @@ def run_online(
         raise InvalidInputError("stream inputs and outputs must align")
     models = {i: AgentModel(cfg) for i in graph.nodes}
     deletions = {i: 0 for i in graph.nodes}
-    tracker = _RunningSmse(window)
+    tracker = _RunningSmse()
     records = []
     for k in range(stream_X.shape[0]):
         x, y = stream_X[k], stream_Y[k]
@@ -352,6 +351,7 @@ def run_online(
         records=records,
         method=method,
         n_agents=graph.n,
+        window=window,
         deletions=deletions,
         final_sizes={i: models[i].n for i in models},
     )

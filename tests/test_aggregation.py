@@ -200,10 +200,10 @@ def test_aeigp_rejects_bad_variances():
 
 
 def test_generalized_linear_nu_one_ignores_variances():
-    spec = TradeoffSpec(kind="linear", nu=1.0, variance_family="poe")
+    spec = TradeoffSpec(kind="linear", variance_family="poe")
     tw = {1: 1.0, 2: 0.25}
-    a = generalized_weights(tw, {1: 0.1, 2: 0.9}, spec, CFG)
-    b = generalized_weights(tw, {1: 0.7, 2: 0.2}, spec, CFG)
+    a = generalized_weights(tw, {1: 0.1, 2: 0.9}, 1.0, spec, CFG)
+    b = generalized_weights(tw, {1: 0.7, 2: 0.2}, 1.0, spec, CFG)
     for s in tw:
         assert a[s] == pytest.approx(b[s], rel=1e-14)
         assert a[s] == pytest.approx(tw[s] / 1.25, rel=1e-12)
@@ -216,8 +216,8 @@ def test_generalized_power_bcm_reproduces_aeigp():
         tw = {s: float(v) for s, v in zip(ids, minmax_normalize(rng.uniform(0, 1, len(ids))))}
         variances = {s: float(rng.uniform(0.05, CFG.kappa0)) for s in ids}
         nu = float(rng.uniform(0.05, 0.95))
-        spec = TradeoffSpec(kind="power", nu=nu, variance_family="bcm")
-        a = generalized_weights(tw, variances, spec, CFG)
+        spec = TradeoffSpec(kind="power", variance_family="bcm")
+        a = generalized_weights(tw, variances, nu, spec, CFG)
         b = aeigp_weights(tw, variances, nu, CFG)
         for s in ids:
             assert a[s] == pytest.approx(b[s], rel=1e-12, abs=1e-12)
@@ -226,22 +226,22 @@ def test_generalized_power_bcm_reproduces_aeigp():
 def test_generalized_linear_poe_hand_case():
     # equal precisions make the family scores 1/2 each; nu = 0.5 blends with
     # tilde_w {1, 0} to scores {0.75, 0.25}, already summing to one
-    spec = TradeoffSpec(kind="linear", nu=0.5, variance_family="poe")
-    weights = generalized_weights({1: 1.0, 2: 0.0}, {1: 0.3, 2: 0.3}, spec, CFG)
+    spec = TradeoffSpec(kind="linear", variance_family="poe")
+    weights = generalized_weights({1: 1.0, 2: 0.0}, {1: 0.3, 2: 0.3}, 0.5, spec, CFG)
     assert weights[1] == pytest.approx(0.75, rel=1e-12)
     assert weights[2] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_generalized_logarithmic_rejects_nonpositive():
-    spec = TradeoffSpec(kind="logarithmic", nu=0.5, variance_family="poe")
+    spec = TradeoffSpec(kind="logarithmic", variance_family="poe")
     with pytest.raises(InvalidInputError) as exc:
-        generalized_weights({1: 1.0, 2: 0.0}, {1: 0.3, 2: 0.3}, spec, CFG)
+        generalized_weights({1: 1.0, 2: 0.0}, {1: 0.3, 2: 0.3}, 0.5, spec, CFG)
     assert "agent 2" in str(exc.value)
 
 
 def test_generalized_exponential_gives_simplex():
-    spec = TradeoffSpec(kind="exponential", nu=0.4, variance_family="bcm")
-    weights = generalized_weights({1: 1.0, 2: 0.3}, {1: 0.2, 2: 0.5}, spec, CFG)
+    spec = TradeoffSpec(kind="exponential", variance_family="bcm")
+    weights = generalized_weights({1: 1.0, 2: 0.3}, {1: 0.2, 2: 0.5}, 0.4, spec, CFG)
     assert_simplex(weights)
 
 

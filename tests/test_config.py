@@ -63,10 +63,9 @@ def test_range_validation():
 
 def test_method_spec_carries_tradeoff():
     config = ExperimentConfig(method="aEIGP", nu=0.5, tradeoff="linear", variance_family="poe")
-    spec = config.method_spec(lam=2.5)
+    spec = config.method_spec()
     assert spec.tradeoff.kind == "linear"
     assert spec.tradeoff.variance_family == "poe"
-    assert spec.lam == 2.5
 
 
 def test_from_json_reports_bad_files(tmp_path):

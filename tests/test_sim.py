@@ -7,23 +7,29 @@ import pytest
 
 from eigp import (
     AgentModel,
+    BoundParams,
     InvalidInputError,
     KernelConfig,
     MethodSpec,
     MetricError,
+    SimRecord,
+    SimResult,
     StreamSchedule,
     aggregation,
+    eta_bound,
     fully_connected,
     run_offline_toy,
     run_online,
+    score_and_approx_mean,
     smse,
+    tilde_eta,
     toy_function,
     toy_mean,
 )
 from eigp.aggregation import joint_predict
 from eigp.memory import ingest
 from eigp.quality import RhoPolicy
-from eigp.sim import _RunningSmse, predict_round
+from eigp.sim import TOY_INTERVAL, _RunningSmse, predict_round, toy_training_data
 
 CFG = KernelConfig(signal_variance=1.0, lengthscale=0.2, noise_variance=0.25)
 
@@ -221,16 +227,52 @@ def test_running_smse_is_exact_for_offset_targets():
     rng = np.random.default_rng(16)
     truths = 1e8 + toy_mean(rng.uniform(-1.2, 1.2, size=300))
     preds = truths + rng.normal(0.0, 0.5, size=300)
-    tracker = _RunningSmse(window=50)
-    for p, t in zip(preds, truths):
-        tracker.update({1: np.array([p])}, np.array([t]))
+    tracker = _RunningSmse()
+    records = []
+    for k, (p, t) in enumerate(zip(preds, truths)):
+        pred, truth = {1: np.array([p])}, np.array([t])
+        tracker.update(pred, truth)
+        records.append(SimRecord(k, truth, truth, pred, {1: 1}, 1, 0.0, tracker.cumulative()))
     expected = np.mean((preds - truths) ** 2) / np.var(truths)
     assert tracker.cumulative() == pytest.approx(expected, rel=1e-9)
+    result = SimResult(records, MethodSpec("MOE"), n_agents=1, window=50)
     tail_p, tail_t = preds[-50:], truths[-50:]
-    assert tracker.windowed() == pytest.approx(
+    assert result.summary()["window_smse"] == pytest.approx(
         np.mean((tail_p - tail_t) ** 2) / np.var(tail_t), rel=1e-9
     )
-    assert len(tracker._history) == 50  # only the window is kept
+
+
+def test_one_round_run_has_no_window_smse():
+    result = run_offline_toy(CFG, MethodSpec("gEIGP"), train_points=40, query_points=1, seed=5)
+    assert math.isnan(result.summary()["window_smse"])
+
+
+def test_bounded_run_certifies_epsilon_at_the_bound_lambda():
+    method = MethodSpec("aEIGP", nu=0.5, theta=1.0)
+    bounds = BoundParams.for_kernel(CFG, 0.1, 0.05, 0.05, [TOY_INTERVAL[0]], [TOY_INTERVAL[1]])
+    assert bounds.lam != 1.0
+    result = run_offline_toy(
+        CFG, method, train_points=80, query_points=12, seed=3, bounds=bounds
+    )
+    # rebuild the run's models to recompute every bound from its definition
+    xs, ys, blocks = toy_training_data(80, 4, np.random.default_rng(3))
+    models = {
+        i + 1: AgentModel.from_data(CFG, xs[b][:, None], ys[b][:, None])
+        for i, b in enumerate(blocks)
+    }
+    graph = fully_connected(4)
+    for rec in result.records:
+        for i in graph.nodes:
+            pred, plan = joint_predict(i, rec.query, models, graph, method, CFG)
+            assert np.array_equal(pred, rec.predictions[i])
+            expected = 0.0
+            for s in plan.selected:
+                score, mean = score_and_approx_mean(
+                    models[s], rec.query, method.rho_policy, lam=bounds.lam
+                )
+                eta = eta_bound(models[s], score.idx, bounds.beta)
+                expected += float(plan.weights[s][0]) * tilde_eta(eta, score.epsilon, mean)
+            assert rec.hat_eta[i] == pytest.approx(expected, rel=1e-12)
 
 
 def test_predict_round_scores_each_agent_once(monkeypatch):

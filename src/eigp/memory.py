@@ -36,18 +36,16 @@ def find_deletion(model: AgentModel, x_incoming) -> int:
 
 
 def delete_and_reallocate(model: AgentModel, index: int) -> AgentModel:
-    """Remove one point, shrinking the Gram matrix without recomputing it.
+    """Remove one point in O(N^2), without recomputing any kernel value.
 
-    The surviving Gram entries are reused as-is; the factorization, alpha
-    and error caches are rebuilt for the smaller system.
+    The surviving Gram entries are copied as-is and the Cholesky factor is
+    downdated (row and column ``index`` dropped, the trailing block restored
+    by a rank-1 update), never refactored; alpha and the error caches are
+    then re-solved against it for the smaller system.
     """
     if not 0 <= index < model.n:
         raise InvalidInputError(f"deletion index {index} out of range for {model.n} points")
-    keep = np.arange(model.n) != index
-    model.X = model.X[keep]
-    model.Y = model.Y[keep]
-    model.K = model.K[np.ix_(keep, keep)]
-    model._refactor()
+    model._delete(index)
     return model
 
 

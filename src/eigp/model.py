@@ -8,6 +8,17 @@ prediction and for the error-informed machinery built on top:
     alpha   (N, d)  solutions of (K + noise_variance * I) alpha = Y
     errors  (d, N)  per-point prediction errors, errors[j] = -noise * alpha[:, j]
 
+``chol`` is refactored only when an append is ill-conditioned
+(``refactor_fallbacks`` counts those). An append borders it with one new row
+(O(N^2)); a deletion drops row and column k and restores the trailing block
+with a rank-1 update, one Givens rotation per column (O(N^2) instead of the
+O(N^3) refactorization; Gill, Golub, Murray & Saunders, *Methods for
+modifying matrix factorizations*, 1974). The factor
+is kept Fortran-ordered, the layout ``scipy.linalg.cholesky`` returns:
+LAPACK's triangular solves then read it in place, where a C-ordered factor
+makes every ``cho_solve`` copy it first, and each rotation works on one
+contiguous column.
+
 Mutating operations (append, the deletion helpers in :mod:`eigp.memory`)
 require exclusive access; predictions only read. The simulator enforces that
 phase discipline, the class itself holds no locks.
@@ -15,8 +26,11 @@ phase discipline, the class itself holds no locks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import drot
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .kernels import KernelConfig, as_input, gram, kernel_vec
@@ -39,6 +53,7 @@ class AgentModel:
         self.alpha = np.zeros((0, d))
         self.errors = np.zeros((d, 0))
         self.variance_clamps = 0  # times posterior_var was clipped up to 0
+        self.refactor_fallbacks = 0  # appends that refactored instead of extending
 
     @classmethod
     def from_data(cls, cfg: KernelConfig, X, Y) -> "AgentModel":
@@ -52,7 +67,8 @@ class AgentModel:
             raise InvalidInputError("training data must be finite")
         model.X, model.Y = X, Y
         model.K = gram(cfg, X)
-        model._refactor()
+        model._factor()
+        model._resolve()
         return model
 
     @property
@@ -66,17 +82,10 @@ class AgentModel:
     # cache maintenance
     # ------------------------------------------------------------------
 
-    def _refactor(self) -> None:
-        """Recompute the Cholesky factor, alpha and errors from X, Y, K."""
-        if self.n == 0:
-            d = self.cfg.output_dim
-            self.chol = np.zeros((0, 0))
-            self.alpha = np.zeros((0, d))
-            self.errors = np.zeros((d, 0))
-            return
+    def _factor(self) -> None:
+        """Factor K + noise_variance * I anew (Fortran-ordered)."""
         reg = self.K + self.cfg.noise_variance * np.eye(self.n)
         self.chol = cholesky(reg, lower=True)
-        self._resolve()
 
     def _resolve(self) -> None:
         """Refresh alpha from the current factor, then the error cache."""
@@ -132,14 +141,25 @@ class AgentModel:
         s2 = diag - float(v @ v)
         if s2 <= _REFACTOR_FLOOR * diag:
             # ill-conditioned extension; rebuild from the Gram matrix
-            reg = self.K + self.cfg.noise_variance * np.eye(self.n)
-            self.chol = cholesky(reg, lower=True)
+            self.refactor_fallbacks += 1
+            self._factor()
             return
-        L = np.zeros((n + 1, n + 1))
+        L = np.zeros((n + 1, n + 1), order="F")
         L[:n, :n] = self.chol
         L[n, :n] = v
         L[n, n] = np.sqrt(s2)
         self.chol = L
+
+    def _delete(self, index: int) -> None:
+        """Drop point ``index``: shrink X, Y and K, downdate the factor, resolve.
+
+        The range of ``index`` is checked by the caller.
+        """
+        self.X = np.delete(self.X, index, axis=0)
+        self.Y = np.delete(self.Y, index, axis=0)
+        self.K = _without(self.K, index)
+        self.chol = _chol_delete(self.chol, index)
+        self._resolve()
 
     # ------------------------------------------------------------------
     # prediction
@@ -209,3 +229,35 @@ class AgentModel:
             self.errors, (-self.cfg.noise_variance * self.alpha).T, rtol=0, atol=1e-12
         ):
             raise InternalConsistencyError("error cache out of sync with alpha")
+
+
+def _without(A: np.ndarray, k: int) -> np.ndarray:
+    """Square ``A`` without row and column ``k``, in ``A``'s memory order."""
+    n = A.shape[0]
+    out = np.empty_like(A, shape=(n - 1, n - 1))
+    out[:k, :k] = A[:k, :k]
+    out[:k, k:] = A[:k, k + 1 :]
+    out[k:, :k] = A[k + 1 :, :k]
+    out[k:, k:] = A[k + 1 :, k + 1 :]
+    return out
+
+
+def _chol_delete(L: np.ndarray, k: int) -> np.ndarray:
+    """Lower Cholesky factor of L L^T without row and column ``k``, in O(N^2).
+
+    Dropping row and column k keeps ``L[:k, :k]`` and ``L[k+1:, :k]``; the
+    trailing block must factor ``L33 L33^T + l l^T`` with ``l = L[k+1:, k]``.
+    That rank-1 update rotates ``l`` into each column in turn, one Givens
+    rotation per column, applied in place by BLAS ``drot`` on the
+    contiguous columns of the Fortran-ordered result. Deleting a point is
+    called a downdate of the factor, but the trailing block only gains a
+    positive semi-definite term, so no rotation can break down.
+    """
+    out = np.asfortranarray(_without(L, k))  # drot writes in place only to contiguous columns
+    x = L[k + 1 :, k].copy()
+    # Rotation i writes only column k + i, so the diagonal can be read up front.
+    for i, a in enumerate(out.diagonal()[k:].tolist()):
+        b = x.item(i)
+        r = math.hypot(a, b)
+        drot(out[k + i :, k + i], x[i:], a / r, b / r, overwrite_x=True, overwrite_y=True)
+    return out

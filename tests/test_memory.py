@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from eigp import (
     AgentModel,
@@ -15,6 +16,12 @@ from eigp import (
 )
 
 CFG = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=0.5)
+
+
+def factor_gap(model):
+    """Relative distance of the kept factor from a fresh factorization."""
+    ref = cholesky(model.K + model.cfg.noise_variance * np.eye(model.n), lower=True)
+    return np.linalg.norm(model.chol - ref) / np.linalg.norm(ref)
 
 
 def make_model(xs, ys=None, cfg=CFG):
@@ -125,3 +132,63 @@ def test_post_ingest_state_matches_batch_rebuild():
     assert np.array_equal(model.K, rebuilt.K)
     assert np.array_equal(model.X, rebuilt.X)
     assert np.array_equal(model.Y, rebuilt.Y)
+
+
+CFG_2D = KernelConfig(
+    signal_variance=1.0, lengthscale=1.0, noise_variance=0.5, input_dim=2, output_dim=2
+)
+
+
+def test_delete_downdates_factor_at_every_index():
+    rng = np.random.default_rng(9)
+    X, Y = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
+    for k in range(12):
+        model = AgentModel.from_data(CFG_2D, X, Y)
+        delete_and_reallocate(model, k)
+        assert model.chol.shape == (11, 11)
+        assert not np.triu(model.chol, 1).any()
+        assert (np.diag(model.chol) > 0).all()
+        assert factor_gap(model) <= 1e-12
+        assert np.array_equal(model.X, np.delete(X, k, axis=0))
+        model.validate_cache()
+
+
+def test_delete_down_to_empty_and_refill():
+    rng = np.random.default_rng(10)
+    model = AgentModel.from_data(CFG_2D, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
+    for index in (1, 2, 0, 0):
+        delete_and_reallocate(model, index)
+        model.validate_cache()
+        if model.n:
+            assert factor_gap(model) <= 1e-12
+    assert model.chol.shape == (0, 0)
+    assert model.alpha.shape == (0, 2) and model.errors.shape == (2, 0)
+    assert model.posterior_mean([0.0, 0.0]) == 0.0
+    assert model.posterior_var([0.0, 0.0]) == CFG_2D.kappa0
+    model.append_point([0.3, -0.2], [1.0, 2.0])
+    model.validate_cache()
+
+
+def test_factor_stays_fortran_ordered():
+    tiny = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1e-13)
+    model = AgentModel.from_data(tiny, [[0.0], [1.0], [2.0]], [[0.0], [1.0], [0.5]])
+    assert model.chol.flags.f_contiguous
+    model.append_point([3.0], [0.2])
+    assert model.refactor_fallbacks == 0
+    assert model.chol.flags.f_contiguous
+    model.append_point([1.0], [1.0])  # duplicate of a stored point: refactor fallback
+    assert model.refactor_fallbacks == 1
+    assert model.chol.flags.f_contiguous
+    delete_and_reallocate(model, 1)
+    assert model.chol.flags.f_contiguous
+
+
+def test_factor_does_not_drift_over_a_long_stream():
+    cfg = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1e-4 * 1.0)
+    rng = np.random.default_rng(11)
+    model = AgentModel(cfg)
+    for _ in range(3000):
+        ingest(model, rng.normal(size=1), rng.normal(size=1), capacity=60)
+    assert model.n == 60
+    model.validate_cache()
+    assert factor_gap(model) <= 1e-9

@@ -232,3 +232,16 @@ def test_classical_predict_agrees_with_cached_paths():
     for j in range(2):
         assert means[j] == pytest.approx(model.posterior_mean(x, j), rel=1e-10)
     assert var == pytest.approx(model.posterior_var(x), rel=1e-10)
+
+
+def test_refactor_fallback_is_counted():
+    cfg = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1e-13)
+    model = AgentModel(cfg)
+    model.append_point([0.0], [1.0])
+    model.append_point([2.0], [0.5])
+    assert model.refactor_fallbacks == 0
+    for expected in (1, 2):
+        model.append_point([0.0], [1.0])  # duplicate input: the Schur complement vanishes
+        assert model.refactor_fallbacks == expected
+        model.validate_cache()
+    assert model.posterior_mean([0.0]) == pytest.approx(1.0, rel=1e-6)

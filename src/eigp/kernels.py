@@ -76,10 +76,11 @@ def gram(cfg: KernelConfig, X: np.ndarray) -> np.ndarray:
     """Full Gram matrix of the rows of ``X``.
 
     Built row by row through :func:`kernel_vec` so that incremental appends
-    reproduce it entry-for-entry exactly.
+    reproduce it entry-for-entry exactly; Fortran-ordered, the layout of the
+    model's Gram buffer.
     """
     n = X.shape[0]
-    K = np.empty((n, n))
+    K = np.empty((n, n), order="F")
     for p in range(n):
         row = kernel_vec(cfg, X[:p], X[p])
         K[p, :p] = row

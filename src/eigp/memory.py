@@ -38,10 +38,10 @@ def find_deletion(model: AgentModel, x_incoming) -> int:
 def delete_and_reallocate(model: AgentModel, index: int) -> AgentModel:
     """Remove one point in O(N^2), without recomputing any kernel value.
 
-    The surviving Gram entries are copied as-is and the Cholesky factor is
-    downdated (row and column ``index`` dropped, the trailing block restored
-    by a rank-1 update), never refactored; alpha and the error caches are
-    then re-solved against it for the smaller system.
+    X, Y, the Gram matrix and the Cholesky factor drop row and column
+    ``index`` in the model's own buffers; the factor's trailing block is
+    restored by a rank-1 update, never refactored. Alpha and the errors go
+    stale until the next append solves them or a read of them re-solves.
     """
     if not 0 <= index < model.n:
         raise InvalidInputError(f"deletion index {index} out of range for {model.n} points")
@@ -54,10 +54,14 @@ def ingest(model: AgentModel, x, y, capacity: int) -> IngestReport:
 
     The capacity check runs before the append so the deletion compares the
     stored points against the incoming input; the post-state never exceeds
-    ``capacity``. Error vectors are refreshed as part of the append.
+    ``capacity``, and a model already above it is rejected untouched. At
+    capacity the deletion frees the slot the append fills, and alpha and the
+    error vectors are solved once, at the end of the append.
     """
     if capacity < 1:
         raise InvalidInputError("capacity must be at least 1")
+    if model.n > capacity:
+        raise InvalidInputError(f"model holds {model.n} points, above capacity {capacity}")
     deleted = None
     if model.n >= capacity:
         deleted = find_deletion(model, x)

@@ -8,20 +8,23 @@ prediction and for the error-informed machinery built on top:
     alpha   (N, d)  solutions of (K + noise_variance * I) alpha = Y
     errors  (d, N)  per-point prediction errors, errors[j] = -noise * alpha[:, j]
 
-``chol`` is refactored only when an append is ill-conditioned
-(``refactor_fallbacks`` counts those). An append borders it with one new row
-(O(N^2)); a deletion drops row and column k and restores the trailing block
-with a rank-1 update, one Givens rotation per column (O(N^2) instead of the
-O(N^3) refactorization; Gill, Golub, Murray & Saunders, *Methods for
-modifying matrix factorizations*, 1974). The factor
-is kept Fortran-ordered, the layout ``scipy.linalg.cholesky`` returns:
-LAPACK's triangular solves then read it in place, where a C-ordered factor
-makes every ``cho_solve`` copy it first, and each rotation works on one
-contiguous column.
+X, Y, K and the factor fill the leading N rows (and columns) of buffers that
+a deletion does not shrink. A deletion shifts the surviving blocks up and
+left in place and restores the trailing factor block with a rank-1 update,
+one Givens rotation per column (O(N^2), not an O(N^3) refactorization; Gill,
+Golub, Murray & Saunders, *Methods for modifying matrix factorizations*,
+1974). An append borders the factor with one row in the slot a deletion
+left, or in buffers grown by one, and solves for alpha: an ingest at capacity
+allocates no N x N array and solves once. After a bare deletion, reading
+``chol``, ``alpha`` or ``errors`` trims the buffers to N and re-solves. The
+factor is refactored only when an append is ill-conditioned
+(``refactor_fallbacks`` counts those). It is Fortran-ordered, as
+``scipy.linalg.cholesky`` returns it, so LAPACK reads it without a copy.
 
 Mutating operations (append, the deletion helpers in :mod:`eigp.memory`)
 require exclusive access; predictions only read. The simulator enforces that
-phase discipline, the class itself holds no locks.
+phase discipline, the class itself holds no locks. ``X``, ``Y``, ``K`` and
+``chol`` are views of the buffers, which later mutations overwrite.
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ class AgentModel:
     def __init__(self, cfg: KernelConfig):
         self.cfg = cfg
         m, d = cfg.input_dim, cfg.output_dim
-        self.X = np.zeros((0, m))
-        self.Y = np.zeros((0, d))
-        self.K = np.zeros((0, 0))
-        self.chol = np.zeros((0, 0))
-        self.alpha = np.zeros((0, d))
-        self.errors = np.zeros((d, 0))
+        self.n = 0
+        self._X = np.zeros((0, m))
+        self._Y = np.zeros((0, d))
+        self._K = np.zeros((0, 0), order="F")
+        self._L = np.zeros((0, 0), order="F")
+        self._alpha = np.zeros((0, d))  # None while a deletion is unsettled
+        self._errors = np.zeros((d, 0))
         self.variance_clamps = 0  # times posterior_var was clipped up to 0
         self.refactor_fallbacks = 0  # appends that refactored instead of extending
 
@@ -59,53 +63,90 @@ class AgentModel:
     def from_data(cls, cfg: KernelConfig, X, Y) -> "AgentModel":
         """Build a model from a batch of points in one factorization."""
         model = cls(cfg)
-        X = np.asarray(X, dtype=float).reshape(-1, cfg.input_dim)
-        Y = np.asarray(Y, dtype=float).reshape(-1, cfg.output_dim)
+        # Copies: deletions shift the model's buffers in place.
+        X = np.array(X, dtype=float).reshape(-1, cfg.input_dim)
+        Y = np.array(Y, dtype=float).reshape(-1, cfg.output_dim)
         if X.shape[0] != Y.shape[0]:
             raise InvalidInputError("X and Y must hold the same number of points")
         if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise InvalidInputError("training data must be finite")
-        model.X, model.Y = X, Y
-        model.K = gram(cfg, X)
+        model.n = X.shape[0]
+        model._X, model._Y = X, Y
+        model._K = gram(cfg, X)
         model._factor()
         model._resolve()
         return model
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
     def __len__(self) -> int:
         return self.n
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._X[: self.n]
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self._Y[: self.n]
+
+    @property
+    def K(self) -> np.ndarray:
+        return self._K[: self.n, : self.n]
+
+    @property
+    def chol(self) -> np.ndarray:
+        self._settle()
+        return self._L
+
+    @property
+    def alpha(self) -> np.ndarray:
+        self._settle()
+        return self._alpha
+
+    @property
+    def errors(self) -> np.ndarray:
+        self._settle()
+        return self._errors
 
     # ------------------------------------------------------------------
     # cache maintenance
     # ------------------------------------------------------------------
 
+    def _settle(self) -> None:
+        """After a bare deletion: trim the buffers to the data and re-solve."""
+        if self._alpha is None:
+            self._resize(self.n)
+            self._resolve()
+
+    def _resize(self, size: int) -> None:
+        """Move the data into fresh buffers with ``size`` >= n slots."""
+        n, m, d = self.n, self.cfg.input_dim, self.cfg.output_dim
+        X, Y = np.zeros((size, m)), np.zeros((size, d))
+        K, L = np.zeros((size, size), order="F"), np.zeros((size, size), order="F")
+        X[:n], Y[:n], K[:n, :n], L[:n, :n] = self.X, self.Y, self.K, self._L[:n, :n]
+        self._X, self._Y, self._K, self._L = X, Y, K, L
+
     def _factor(self) -> None:
         """Factor K + noise_variance * I anew (Fortran-ordered)."""
-        reg = self.K + self.cfg.noise_variance * np.eye(self.n)
-        self.chol = cholesky(reg, lower=True)
+        reg = self.K + self.cfg.noise_variance * np.eye(self.n, order="F")  # K's layout
+        self._L = cholesky(reg, lower=True)
 
-    def _resolve(self) -> None:
-        """Refresh alpha from the current factor, then the error cache."""
-        self.alpha = cho_solve((self.chol, True), self.Y)
-        self.refresh_errors()
+    def _resolve(self, z: np.ndarray | None = None) -> None:
+        """Solve alpha (only backward when given ``z = L^-1 Y``), then the errors.
 
-    def refresh_errors(self) -> None:
-        """Set errors[j] = -noise_variance * alpha[:, j] for every dimension.
-
-        Equivalent to evaluating the posterior-mean residual at every stored
-        input, but retrieved from the cached solve instead of recomputed.
+        errors[j] = -noise_variance * alpha[:, j] equals the posterior-mean
+        residual at every stored input, read off the solve instead of recomputed.
         """
-        self.errors = np.ascontiguousarray((-self.cfg.noise_variance * self.alpha).T)
+        if z is None:
+            self._alpha = cho_solve((self._L, True), self.Y)
+        else:
+            self._alpha = solve_triangular(self._L, z, lower=True, trans="T")
+        self._errors = np.ascontiguousarray((-self.cfg.noise_variance * self._alpha).T)
 
     def append_point(self, x, y) -> "AgentModel":
         """Add one (x, y) pair, extending the Gram matrix by a bordered row.
 
         Capacity is not checked here; bounded-memory ingestion lives in
-        :mod:`eigp.memory` and may let the model exceed its threshold
-        transiently inside a single ingest.
+        :mod:`eigp.memory`. Alpha and the errors are solved afresh.
         """
         x = as_input(self.cfg, x)
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -118,48 +159,59 @@ class AgentModel:
 
         k_new = kernel_vec(self.cfg, self.X, x)
         n = self.n
-        K = np.empty((n + 1, n + 1))
-        K[:n, :n] = self.K
-        K[n, :n] = k_new
-        K[:n, n] = k_new
+        if self._L.shape[0] != n + 1:  # no single spare slot: grow, or trim deletions
+            self._resize(n + 1)
+        self._X[n], self._Y[n] = x, y
+        K, L = self._K, self._L
+        K[n, :n] = K[:n, n] = k_new
         K[n, n] = self.cfg.signal_variance
-
-        self.X = np.vstack([self.X, x[None, :]])
-        self.Y = np.vstack([self.Y, y[None, :]])
-        self.K = K
-        self._extend_chol(k_new)
-        self._resolve()
-        return self
-
-    def _extend_chol(self, k_new: np.ndarray) -> None:
-        n = self.n - 1  # size before the append
+        # Solve on the whole contiguous buffer (LAPACK would copy an [:n, :n]
+        # view): with a unit diagonal in the spare row it is nonsingular, and
+        # its first n rows solve as L alone. One forward solve against [k Y]
+        # yields v = L^-1 k and z = L^-1 Y, half of alpha's; row n is redone.
+        L[n, n] = 1.0
+        vz = solve_triangular(L, np.column_stack([np.append(k_new, 0.0), self._Y]), lower=True)
+        v, z = vz[:n, 0], vz[:, 1:]
         diag = self.cfg.signal_variance + self.cfg.noise_variance
-        if n == 0:
-            self.chol = np.array([[np.sqrt(diag)]])
-            return
-        v = solve_triangular(self.chol, k_new, lower=True)
         s2 = diag - float(v @ v)
-        if s2 <= _REFACTOR_FLOOR * diag:
-            # ill-conditioned extension; rebuild from the Gram matrix
+        self.n = n + 1
+        if s2 > _REFACTOR_FLOOR * diag:
+            L[n, :n] = v
+            L[n, n] = np.sqrt(s2)
+            z[n] = (y - v @ z[:n]) / L[n, n]
+            self._resolve(z)
+        else:  # ill-conditioned extension; rebuild from the Gram matrix
             self.refactor_fallbacks += 1
             self._factor()
-            return
-        L = np.zeros((n + 1, n + 1), order="F")
-        L[:n, :n] = self.chol
-        L[n, :n] = v
-        L[n, n] = np.sqrt(s2)
-        self.chol = L
+            self._resolve()
+        return self
 
     def _delete(self, index: int) -> None:
-        """Drop point ``index``: shrink X, Y and K, downdate the factor, resolve.
+        """Drop point ``index`` in place and downdate the factor.
 
-        The range of ``index`` is checked by the caller.
+        Alpha and the errors go stale until the next append or read. The
+        range of ``index`` is checked by the caller.
         """
-        self.X = np.delete(self.X, index, axis=0)
-        self.Y = np.delete(self.Y, index, axis=0)
-        self.K = _without(self.K, index)
-        self.chol = _chol_delete(self.chol, index)
-        self._resolve()
+        n, k = self.n - 1, index  # n: size after the deletion
+        K, L = self._K, self._L
+        x = L[k + 1 : n + 1, k].copy()
+        for A in (self._X, self._Y):
+            A[k:n] = A[k + 1 : n + 1]
+        _shift_out(K, n, k)
+        K[:k, k:n] = K[k:n, :k].T
+        _shift_out(L, n, k)
+        # The trailing block must now factor L33 L33^T + x x^T, a positive
+        # semi-definite gain, so no rotation can break down. Rotation i writes
+        # only column k + i, so the diagonal can be read up front; drot takes
+        # it at an offset into the flat buffer, half the cost of slicing.
+        size, flat = L.shape[0], L.reshape(-1, order="F")
+        for i, a in enumerate(L.diagonal()[k:n].tolist()):
+            b = x.item(i)
+            r = math.hypot(a, b)
+            # x, y, c, s, n, offx, incx, offy, incy, overwrite_x, overwrite_y
+            drot(flat, x, a / r, b / r, n - k - i, (k + i) * (size + 1), 1, i, 1, 1, 1)
+        self.n = n
+        self._alpha = self._errors = None
 
     # ------------------------------------------------------------------
     # prediction
@@ -231,33 +283,17 @@ class AgentModel:
             raise InternalConsistencyError("error cache out of sync with alpha")
 
 
-def _without(A: np.ndarray, k: int) -> np.ndarray:
-    """Square ``A`` without row and column ``k``, in ``A``'s memory order."""
-    n = A.shape[0]
-    out = np.empty_like(A, shape=(n - 1, n - 1))
-    out[:k, :k] = A[:k, :k]
-    out[:k, k:] = A[:k, k + 1 :]
-    out[k:, :k] = A[k + 1 :, :k]
-    out[k:, k:] = A[k + 1 :, k + 1 :]
-    return out
+def _shift_out(A: np.ndarray, n: int, k: int) -> None:
+    """Drop row and column ``k`` of the leading (n + 1) block of F-ordered ``A``.
 
-
-def _chol_delete(L: np.ndarray, k: int) -> np.ndarray:
-    """Lower Cholesky factor of L L^T without row and column ``k``, in O(N^2).
-
-    Dropping row and column k keeps ``L[:k, :k]`` and ``L[k+1:, :k]``; the
-    trailing block must factor ``L33 L33^T + l l^T`` with ``l = L[k+1:, k]``.
-    That rank-1 update rotates ``l`` into each column in turn, one Givens
-    rotation per column, applied in place by BLAS ``drot`` on the
-    contiguous columns of the Fortran-ordered result. Deleting a point is
-    called a downdate of the factor, but the trailing block only gains a
-    positive semi-definite term, so no rotation can break down.
+    Rows above ``k`` of the later columns get entries from above the old
+    diagonal: zeros for a lower-triangular factor; a full matrix rebuilds them.
     """
-    out = np.asfortranarray(_without(L, k))  # drot writes in place only to contiguous columns
-    x = L[k + 1 :, k].copy()
-    # Rotation i writes only column k + i, so the diagonal can be read up front.
-    for i, a in enumerate(out.diagonal()[k:].tolist()):
-        b = x.item(i)
-        r = math.hypot(a, b)
-        drot(out[k + i :, k + i], x[i:], a / r, b / r, overwrite_x=True, overwrite_y=True)
-    return out
+    A[k:n, :k] = A[k + 1 : n + 1, :k]
+    if k < n:
+        # Up a row and left a column is size + 1 places of the flat buffer: one
+        # 1-D overlapping copy in place, where a 2-D one goes through a temporary.
+        size = A.shape[0]
+        flat = A.reshape(-1, order="F")
+        a, b = k * (size + 1), (n - 1) * (size + 1) + 1
+        flat[a:b] = flat[a + size + 1 : b + size + 1]

@@ -107,6 +107,8 @@ class SimResult:
     window: int = 100
     deletions: dict[int, int] = field(default_factory=dict)
     final_sizes: dict[int, int] = field(default_factory=dict)
+    variance_clamps: int = 0  # summed over agents
+    refactor_fallbacks: int = 0  # summed over agents
 
     def mean_abs_error(self) -> float:
         errs = [
@@ -146,6 +148,8 @@ class SimResult:
             if self.records
             else 0.0,
             "total_deletions": int(sum(self.deletions.values())),
+            "variance_clamps": self.variance_clamps,
+            "refactor_fallbacks": self.refactor_fallbacks,
         }
 
 
@@ -310,6 +314,8 @@ def run_offline_toy(
         n_agents=n_agents,
         window=window,
         final_sizes={i: models[i].n for i in models},
+        variance_clamps=sum(m.variance_clamps for m in models.values()),
+        refactor_fallbacks=sum(m.refactor_fallbacks for m in models.values()),
     )
 
 
@@ -354,4 +360,6 @@ def run_online(
         window=window,
         deletions=deletions,
         final_sizes={i: models[i].n for i in models},
+        variance_clamps=sum(m.variance_clamps for m in models.values()),
+        refactor_fallbacks=sum(m.refactor_fallbacks for m in models.values()),
     )

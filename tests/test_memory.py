@@ -1,8 +1,10 @@
 """Bounded-memory ingestion: deletion choice, reallocation, capacity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, solve_triangular
 
 from eigp import (
     AgentModel,
@@ -13,7 +15,9 @@ from eigp import (
     gram,
     ingest,
     kernel_eval,
+    kernel_vec,
 )
+from oracles import CopyingModel
 
 CFG = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=0.5)
 
@@ -192,3 +196,89 @@ def test_factor_does_not_drift_over_a_long_stream():
     assert model.n == 60
     model.validate_cache()
     assert factor_gap(model) <= 1e-9
+
+
+def test_ingest_rejects_a_model_above_capacity():
+    rng = np.random.default_rng(12)
+    model = make_model(rng.normal(size=10), rng.normal(size=10))
+    X = model.X.copy()
+    with pytest.raises(InvalidInputError):
+        ingest(model, [0.0], [0.0], capacity=5)
+    assert model.n == 10
+    assert np.array_equal(model.X, X)
+    model.validate_cache()
+
+
+def test_ingest_at_capacity_allocates_nothing_new():
+    rng = np.random.default_rng(13)
+    n = 300
+    model = make_model(rng.normal(size=n), rng.normal(size=n))
+    ingest(model, [0.0], [0.0], capacity=n)  # any lazy set-up happens outside the trace
+    points = rng.normal(size=(20, 2))
+    tracemalloc.start()
+    try:
+        for x, y in points:
+            before = model.chol
+            ingest(model, [x], [y], capacity=n)
+            assert np.shares_memory(before, model.chol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # one N x N float array
+    model.validate_cache()
+
+
+def assert_matches_oracle(model, ref):
+    """K, X and Y exactly; the factor and alpha within 1e-12 relative."""
+    assert np.array_equal(model.X, ref.X)
+    assert np.array_equal(model.Y, ref.Y)
+    assert np.array_equal(model.K, ref.K)
+    for got, want in ((model.chol, ref.chol), (model.alpha, ref.alpha)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 60])
+def test_ingest_matches_copying_oracle(capacity):
+    rng = np.random.default_rng(capacity)
+    model, ref = AgentModel(CFG_2D), CopyingModel(CFG_2D)
+    for _ in range(capacity + 40):
+        x, y = rng.normal(size=2), rng.normal(size=2)
+        assert ingest(model, x, y, capacity).deleted_index == ref.ingest(x, y, capacity)
+        assert_matches_oracle(model, ref)
+    model.validate_cache()
+
+
+@pytest.mark.parametrize("indices", [[0], [11], [3, 7], [11, 10], [0, 0]])
+def test_deletions_then_appends_match_copying_oracle(indices):
+    rng = np.random.default_rng(14)
+    X, Y = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
+    model, ref = AgentModel.from_data(CFG_2D, X, Y), CopyingModel(CFG_2D, X, Y)
+    for _ in range(2):
+        for index in indices:
+            delete_and_reallocate(model, index)
+            ref.delete(index)
+        for _ in indices:
+            x, y = rng.normal(size=2), rng.normal(size=2)
+            model.append_point(x, y)
+            ref.append(x, y)
+        assert_matches_oracle(model, ref)
+    model.validate_cache()
+
+
+def test_reads_between_a_bare_deletion_and_the_next_append():
+    rng = np.random.default_rng(15)
+    X, Y = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
+    model, ref = AgentModel.from_data(CFG_2D, X, Y), CopyingModel(CFG_2D, X, Y)
+    delete_and_reallocate(model, 4)
+    ref.delete(4)
+    q = rng.normal(size=2)
+    v = solve_triangular(ref.chol, kernel_vec(CFG_2D, ref.X, q), lower=True)
+    assert model.posterior_var(q) == pytest.approx(CFG_2D.kappa0 - v @ v, rel=1e-12)
+    model.validate_cache()
+    assert_matches_oracle(model, ref)
+    x, y = rng.normal(size=2), rng.normal(size=2)
+    model.append_point(x, y)
+    ref.append(x, y)
+    assert_matches_oracle(model, ref)
+    model.validate_cache()

@@ -223,6 +223,17 @@ def test_summary_fields():
     assert summary["final_smse"] >= 0.0
 
 
+def test_summary_reports_numerical_counters():
+    tiny = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1e-13)
+    xs = np.array([[0.0], [2.0], [0.0]])  # the last input repeats the first
+    ys = np.array([[1.0], [0.5], [1.0]])
+    schedule = StreamSchedule("cyclic", capacity=10)
+    result = run_online(tiny, MethodSpec("gEIGP"), fully_connected(1), xs, ys, schedule)
+    summary = result.summary()
+    assert summary["refactor_fallbacks"] == 1  # the duplicate's Schur complement vanishes
+    assert summary["variance_clamps"] == 0
+
+
 def test_running_smse_is_exact_for_offset_targets():
     rng = np.random.default_rng(16)
     truths = 1e8 + toy_mean(rng.uniform(-1.2, 1.2, size=300))

@@ -6,14 +6,23 @@ expert-aggregation baselines (MOE, POE, GPOE, BCM, RBCM) and the joint
 prediction that ties them to the per-agent models.
 
 All functions read immutable model snapshots. A query round scores every
-agent once (:func:`evaluate_round`) and every requester selects and weights
-from that shared table.
+agent once into a :class:`RoundTable` of arrays indexed by agent position
+(:func:`evaluate_round`); one batched pass then selects and weighs for every
+requester, each over its own closed neighborhood, into a requester x agent
+weight matrix, and an :class:`AggregationPlan` is a view on one row. The
+dict helpers (``greedy_select``, ``aeigp_weights``, ...) run the same row
+kernels on a single row. Powers use ``np.float_power``, which calls the C
+library's ``pow`` as Python's ``**`` does (``np.power`` takes square, sqrt
+and SIMD shortcuts that round differently), and the log gain stays
+``math.log``: a batched round predicts bit for bit what one requester at a
+time would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -73,82 +82,111 @@ class MethodSpec:
 
 @dataclass
 class AgentEvaluation:
-    """One agent's evaluation at a round's query, shared by every requester.
-
-    ``score`` and ``mean`` (the truncated mean) come from one
-    :func:`score_and_approx_mean` call; ``variance`` is the posterior
-    variance, filled the first time a requester needs it.
-    """
+    """One agent's score and truncated mean from one :func:`score_and_approx_mean` call."""
 
     score: QualityScore
     mean: np.ndarray
-    variance: float | None = None
 
-    def posterior_var(self, model: AgentModel, x) -> float:
-        if self.variance is None:
-            self.variance = model.posterior_var(x)
-        return self.variance
+
+class RoundTable:
+    """One query round's evaluations as arrays indexed by agent position.
+
+    ``ids`` is the agent id at each position; ``eps``, ``means`` (agents x d)
+    and ``empty`` hold each agent's epsilon, truncated mean and empty-model
+    flag. The batched pass (:func:`_weigh`) fills ``weights`` (requester x
+    agent, zero off the selection), ``selected``, ``degenerate`` and
+    ``predictions`` (requester x d), one row per requester position.
+    """
+
+    def __init__(self, ids: tuple[int, ...], scores: list[QualityScore], eps, means, empty):
+        self.ids, self.scores, self.eps, self.means, self.empty = ids, scores, eps, means, empty
+        self.weights = self.selected = self.degenerate = self.predictions = None
+
+    def __getitem__(self, agent: int) -> AgentEvaluation:
+        p = self.ids.index(agent)
+        return AgentEvaluation(self.scores[p], self.means[p])
 
 
 @dataclass
 class AggregationPlan:
-    """Selected collaborators and their per-dimension weights for one query."""
+    """One requester's collaborators and weights: a view on its row of the round's weights."""
 
     requester: int
+    ids: tuple[int, ...]  # agent id at each entry of ``row``
+    row: np.ndarray  # weight per agent, zero off the selection
     selected: tuple[int, ...]
-    weights: dict[int, np.ndarray]  # agent id -> (d,) weights, one per output dim
     method: str
-    nu: float | None = None
-    theta: float | None = None
-    tradeoff: str | None = None
+    d: int = 1  # output dimensions
     degenerate: bool = False  # set when every neighborhood model was empty
-    evaluations: dict[int, AgentEvaluation] | None = None  # the round table; None for baselines
+    evaluations: RoundTable | None = None  # the round table; None for baselines
+
+    @property
+    def weights(self) -> dict[int, np.ndarray]:
+        """Selected agent id -> (d,) weights; a weight is the same in every output dimension."""
+        by_id = dict(zip(self.ids, self.row.tolist()))
+        return {s: np.full(self.d, by_id[s]) for s in self.selected}
 
 
-def evaluate_round(
-    agents, x, models: dict[int, AgentModel], method: MethodSpec
-) -> dict[int, AgentEvaluation]:
+def evaluate_round(agents, x, models: dict[int, AgentModel], method: MethodSpec) -> RoundTable:
     """Score each of ``agents`` once at ``x``: the table every requester reads.
 
     Scores are taken at lam = 1: lam rescales every agent's epsilon equally,
     so it changes no selection or weight.
     """
-    return {
-        s: AgentEvaluation(*score_and_approx_mean(models[s], x, method.rho_policy, agent_id=s))
-        for s in agents
-    }
+    ids = tuple(agents)
+    policy = method.rho_policy
+    scores, means = zip(*(score_and_approx_mean(models[s], x, policy, agent_id=s) for s in ids))
+    eps = np.array([score.epsilon for score in scores])
+    empty = np.array([models[s].n == 0 for s in ids])
+    return RoundTable(ids, list(scores), eps, np.array(means), empty)
+
+
+def _chosen(ids, mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(compress(ids, mask.tolist()))
+
+
+def _row(values: dict, ids) -> np.ndarray:
+    return np.array([[values[s] for s in ids]], dtype=float)
 
 
 # ----------------------------------------------------------------------
-# selection
+# selection: each row holds one requester's epsilon scores in id order
 # ----------------------------------------------------------------------
 
 
-def _argmax_agent(scores: dict[int, float]) -> int:
-    """Agent with the largest score; ties go to the lowest agent id."""
-    best = None
-    best_score = -math.inf
-    for s in sorted(scores):
-        if scores[s] > best_score:
-            best, best_score = s, scores[s]
-    return best
+def _adaptive_rows(E: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive selection mask and gaussianized scores of each row.
 
-
-def _sentinel_set(scores: dict[int, float]) -> tuple[int, ...]:
-    return tuple(s for s in sorted(scores) if math.isinf(scores[s]))
+    A row holding infinity sentinels selects exactly those and scores them 1,
+    every other agent 0. Otherwise, with sigma the row's population standard
+    deviation, the selection keeps every score within theta sigma of the
+    best, and the gaussianized score is
+    exp(-(max - eps_s)^2 / (2 sigma^2)) / (sigma sqrt(2 pi)); a row of equal
+    scores maps every agent to 1.
+    """
+    inf = np.isinf(E)
+    sentinel = inf.any(axis=1, keepdims=True)
+    if sentinel.all():
+        return inf, inf.astype(float)
+    # sentinel rows (inf - inf) and rows of equal scores (0 / 0) give NaN
+    # here, and np.where replaces every one of them
+    with np.errstate(invalid="ignore", divide="ignore"):
+        top, sigma = E.max(axis=1, keepdims=True), np.std(E, axis=1, keepdims=True)
+        sel = np.where(sentinel, inf, E >= top - theta * sigma)
+        density = np.exp(-np.float_power(top - E, 2.0) / (2.0 * np.float_power(sigma, 2.0)))
+        density /= sigma * math.sqrt(2.0 * math.pi)
+    gauss = np.where(sentinel, inf, np.where(sigma > 0, density, 1.0))
+    return sel, gauss
 
 
 def greedy_select(requester: int, scores: dict[int, float], d: int = 1) -> AggregationPlan:
     """Adopt the single neighbor with maximal epsilon, weight one."""
     if not scores:
         raise InvalidInputError("greedy selection needs at least one score")
-    best = _argmax_agent(scores)
-    return AggregationPlan(
-        requester=requester,
-        selected=(best,),
-        weights={best: np.ones(d)},
-        method="gEIGP",
-    )
+    ids = tuple(sorted(scores))
+    row = np.zeros(len(ids))
+    row[_row(scores, ids)[0].argmax()] = 1.0  # the first maximum: ties go to the lowest id
+    return AggregationPlan(requester, ids, row, _chosen(ids, row), "gEIGP", d)
 
 
 def gaussianize_epsilon(scores: dict[int, float]) -> dict[int, float]:
@@ -162,18 +200,8 @@ def gaussianize_epsilon(scores: dict[int, float]) -> dict[int, float]:
     """
     if not scores:
         raise InvalidInputError("gaussianize needs at least one score")
-    sentinels = _sentinel_set(scores)
-    if sentinels:
-        return {s: (1.0 if s in sentinels else 0.0) for s in scores}
-    values = np.array([scores[s] for s in sorted(scores)])
-    sigma = float(np.std(values))
-    if sigma == 0.0:
-        return {s: 1.0 for s in scores}
-    top = float(values.max())
-    return {
-        s: float(np.exp(-((top - scores[s]) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi)))
-        for s in scores
-    }
+    ids = sorted(scores)
+    return dict(zip(ids, _adaptive_rows(_row(scores, ids), 0.0)[1][0].tolist()))
 
 
 def adaptive_select(
@@ -189,21 +217,32 @@ def adaptive_select(
         raise InvalidInputError("adaptive selection needs at least one score")
     if theta < 0:
         raise InvalidInputError("theta must be nonnegative")
-    sentinels = _sentinel_set(scores)
-    if sentinels:
-        phi = {s: (1 if s in sentinels else 0) for s in scores}
-        return sentinels, phi
-    values = [scores[s] for s in scores]
-    top = max(values)
-    threshold = top - theta * float(np.std(values))
-    phi = {s: (1 if scores[s] >= threshold else 0) for s in scores}
-    selected = tuple(s for s in sorted(scores) if phi[s])
-    return selected, phi
+    ids = tuple(sorted(scores))
+    sel = _adaptive_rows(_row(scores, ids), theta)[0][0]
+    return _chosen(ids, sel), dict(zip(ids, sel.astype(int).tolist()))
 
 
 # ----------------------------------------------------------------------
-# weights
+# weights: rows are zero off the selection and sums run left to right,
+# so a row gives what a sum over the selected agents in id order gives
 # ----------------------------------------------------------------------
+
+
+def _minmax_rows(T: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Rescale each row's selected entries to [0, 1]; a constant row maps to ones."""
+    lo = np.where(sel, T, np.inf).min(axis=1, keepdims=True)
+    span = np.where(sel, T, -np.inf).max(axis=1, keepdims=True) - lo
+    out = sel.astype(float)
+    np.divide(T - lo, span, out=out, where=sel & (span > 0))
+    return out
+
+
+def _normalize_rows(S: np.ndarray) -> np.ndarray:
+    """Divide each row by its total so it sums to one."""
+    total = np.cumsum(S, axis=1)[:, -1:]
+    if np.any(total <= 0):
+        raise InvalidInputError("proportional normalization needs a positive total")
+    return S / total
 
 
 def minmax_normalize(v) -> np.ndarray:
@@ -211,10 +250,7 @@ def minmax_normalize(v) -> np.ndarray:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.size == 0:
         raise InvalidInputError("cannot normalize an empty vector")
-    lo, hi = float(v.min()), float(v.max())
-    if hi == lo:
-        return np.ones_like(v)
-    return (v - lo) / (hi - lo)
+    return _minmax_rows(v[None, :], np.ones((1, v.size), dtype=bool))[0]
 
 
 def proportional_normalize(values: dict[int, float]) -> dict[int, float]:
@@ -233,7 +269,7 @@ def error_weights(
     if not selected:
         raise InvalidInputError("no agent selected")
     scaled = minmax_normalize([tilde_eps[s] for s in selected])
-    return dict(zip(selected, (float(w) for w in scaled)))
+    return dict(zip(selected, scaled.tolist()))
 
 
 def _log_precision_gain(cfg: KernelConfig, var: float, agent: int) -> float:
@@ -249,41 +285,18 @@ def _log_precision_gain(cfg: KernelConfig, var: float, agent: int) -> float:
     return math.log(cap / var)
 
 
-def aeigp_weights(
-    tilde_w: dict[int, float],
-    variances: dict[int, float],
-    nu: float,
-    cfg: KernelConfig,
-) -> dict[int, float]:
-    """Error-informed weights blending tilde_w with posterior precision.
+def _aeigp_rows(TW, G, P, nu: float, prior: float) -> np.ndarray:
+    """aEIGP weights of each row from error weights TW, gains G and precisions P.
 
-    Each agent's score is tilde_w^nu * (gain * precision * agg_var)^(1-nu),
-    where gain = log((kappa0 + noise)/variance) and agg_var is the aggregate
-    variance formed from the gain-scaled precisions with a prior-correction
-    term. nu = 1 reduces to proportionally normalized tilde_w; nu = 0 drops
-    the error information entirely (a selective precision rule).
+    G and P are zero off the selection, which makes every term there zero.
     """
-    if set(tilde_w) != set(variances):
-        raise InvalidInputError("tilde_w and variances must cover the same agents")
-    if not 0.0 <= nu <= 1.0:
-        raise InvalidInputError("nu must lie in [0, 1]")
-    ids = sorted(tilde_w)
-    prior = cfg.prior_plus_noise
-    gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
-    precisions = {s: 1.0 / variances[s] for s in ids}
-    agg_precision = sum(tilde_w[s] * gains[s] * precisions[s] for s in ids)
-    agg_precision += (
-        1.0 - sum(tilde_w[s] ** nu * gains[s] ** (1.0 - nu) for s in ids)
-    ) / prior
-    # agg_var is a shared positive scale raised to (1 - nu) in every score, so
-    # it cancels in the normalizer; if the prior correction drives it
-    # nonpositive, any positive stand-in yields the same final weights.
-    agg_var = 1.0 / agg_precision if agg_precision > 0 else 1.0
-    scores = {
-        s: tilde_w[s] ** nu * (gains[s] * precisions[s] * agg_var) ** (1.0 - nu)
-        for s in ids
-    }
-    return proportional_normalize(scores)
+    precision = np.cumsum(TW * G * P, axis=1)[:, -1]
+    tw_nu = np.float_power(TW, nu)
+    blend = tw_nu * np.float_power(G, 1.0 - nu)
+    precision += (1.0 - np.cumsum(blend, axis=1)[:, -1]) / prior
+    agg_var = np.ones(precision.shape)
+    np.divide(1.0, precision, out=agg_var, where=precision > 0)
+    return _normalize_rows(tw_nu * np.float_power(G * P * agg_var[:, None], 1.0 - nu))
 
 
 def _family_scores(
@@ -308,6 +321,76 @@ def _family_scores(
     return {s: numerators[s] / denom for s in ids}
 
 
+def _tradeoff(kind: str, a: float, b: float, nu: float) -> float:
+    if kind == "linear":
+        return nu * a + (1.0 - nu) * b
+    if kind == "power":
+        return a**nu * b ** (1.0 - nu)
+    if kind == "exponential":
+        return math.exp(nu * a) + math.exp((1.0 - nu) * b)
+    return nu * math.log(a) + (1.0 - nu) * math.log(b)  # logarithmic
+
+
+def _generalized_rows(TW, sel, G, V, ids, nu: float, spec: TradeoffSpec, cfg: KernelConfig):
+    """Generalized trade-off weights of each row; ``ids`` names the agent of each entry."""
+    scores = np.zeros(TW.shape)
+    for r, m in enumerate(sel):
+        row_ids = ids[r][m].tolist()
+        gains, variances = (dict(zip(row_ids, A[r][m].tolist())) for A in (G, V))
+        family = _family_scores(spec.variance_family, gains, variances, cfg)
+        pairs = list(zip(row_ids, TW[r][m].tolist()))
+        if spec.kind == "logarithmic":
+            for s, a in pairs:
+                if a <= 0 or family[s] <= 0:
+                    raise InvalidInputError(
+                        f"agent {s}: logarithmic trade-off needs positive arguments, "
+                        f"got ({a}, {family[s]})"
+                    )
+        values = [_tradeoff(spec.kind, a, family[s], nu) for s, a in pairs]
+        for (s, _), v in zip(pairs, values):
+            if v < 0:
+                raise InvalidInputError(
+                    f"agent {s}: trade-off score {v} is negative, weights must be nonnegative"
+                )
+        scores[r, m] = values
+    flat = ~scores.any(axis=1)
+    scores[flat] = sel[flat]
+    return _normalize_rows(scores)
+
+
+def _weight_inputs(tilde_w, variances, nu: float, cfg: KernelConfig):
+    """One row of error weights, gains and variances from dicts keyed by agent id."""
+    if set(tilde_w) != set(variances):
+        raise InvalidInputError("tilde_w and variances must cover the same agents")
+    if not 0.0 <= nu <= 1.0:
+        raise InvalidInputError("nu must lie in [0, 1]")
+    ids = sorted(tilde_w)
+    gains = np.array([[_log_precision_gain(cfg, variances[s], s) for s in ids]])
+    return ids, _row(tilde_w, ids), gains, _row(variances, ids)
+
+
+def aeigp_weights(
+    tilde_w: dict[int, float],
+    variances: dict[int, float],
+    nu: float,
+    cfg: KernelConfig,
+) -> dict[int, float]:
+    """Error-informed weights blending tilde_w with posterior precision.
+
+    Each agent's score is tilde_w^nu * (gain * precision * agg_var)^(1-nu),
+    where gain = log((kappa0 + noise)/variance) and agg_var is the aggregate
+    variance formed from the gain-scaled precisions with a prior-correction
+    term. nu = 1 reduces to proportionally normalized tilde_w; nu = 0 drops
+    the error information entirely (a selective precision rule).
+
+    agg_var is a shared positive scale raised to (1 - nu) in every score, so
+    it cancels in the normalizer; if the prior correction drives it
+    nonpositive, any positive stand-in (1) yields the same final weights.
+    """
+    ids, TW, G, V = _weight_inputs(tilde_w, variances, nu, cfg)
+    return dict(zip(ids, _aeigp_rows(TW, G, 1.0 / V, nu, cfg.prior_plus_noise)[0].tolist()))
+
+
 def generalized_weights(
     tilde_w: dict[int, float],
     variances: dict[int, float],
@@ -322,38 +405,9 @@ def generalized_weights(
     weights sum to one. The logarithmic kind requires strictly positive
     arguments and scores.
     """
-    if set(tilde_w) != set(variances):
-        raise InvalidInputError("tilde_w and variances must cover the same agents")
-    if not 0.0 <= nu <= 1.0:
-        raise InvalidInputError("nu must lie in [0, 1]")
-    ids = sorted(tilde_w)
-    gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
-    family = _family_scores(spec.variance_family, gains, variances, cfg)
-    if spec.kind == "logarithmic":
-        for s in ids:
-            if tilde_w[s] <= 0 or family[s] <= 0:
-                raise InvalidInputError(
-                    f"agent {s}: logarithmic trade-off needs positive arguments, "
-                    f"got ({tilde_w[s]}, {family[s]})"
-                )
-    scores: dict[int, float] = {}
-    for s in ids:
-        a, b = tilde_w[s], family[s]
-        if spec.kind == "linear":
-            scores[s] = nu * a + (1.0 - nu) * b
-        elif spec.kind == "power":
-            scores[s] = a**nu * b ** (1.0 - nu)
-        elif spec.kind == "exponential":
-            scores[s] = math.exp(nu * a) + math.exp((1.0 - nu) * b)
-        else:  # logarithmic
-            scores[s] = nu * math.log(a) + (1.0 - nu) * math.log(b)
-        if scores[s] < 0:
-            raise InvalidInputError(
-                f"agent {s}: trade-off score {scores[s]} is negative, weights must be nonnegative"
-            )
-    if all(v == 0.0 for v in scores.values()):
-        scores = {s: 1.0 for s in ids}
-    return proportional_normalize(scores)
+    ids, TW, G, V = _weight_inputs(tilde_w, variances, nu, cfg)
+    row = _generalized_rows(TW, np.ones(TW.shape, dtype=bool), G, V, np.array([ids]), nu, spec, cfg)
+    return dict(zip(ids, row[0].tolist()))
 
 
 def baseline_weights(
@@ -386,9 +440,69 @@ def baseline_weights(
 # ----------------------------------------------------------------------
 
 
-def _tile(weights: dict[int, float], d: int) -> dict[int, np.ndarray]:
-    """Expand scalar weights to one entry per output dimension."""
-    return {s: np.full(d, w) for s, w in weights.items()}
+def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: KernelConfig) -> None:
+    """Select and weigh for every requester in ``groups`` in one pass over ``table``.
+
+    ``groups`` pairs requester positions (R,) with their closed neighborhoods'
+    positions in id order (R, K), so each row reduction sees the values a
+    single requester would, in its order. A requester whose neighborhood
+    holds only empty models is degenerate: its own model gives the prior
+    mean 0. Predictions sum only selected terms (a zero weight times an
+    infinite truncated mean would be NaN).
+    """
+    k, nu = len(table.ids), method.nu
+    weights = np.zeros((k, k))
+    selected = np.zeros((k, k), dtype=bool)
+    degenerate = np.zeros(k, dtype=bool)
+    some_empty = table.empty.any()
+    gains, precisions, variances = np.zeros((3, k))  # read once per agent, only when selected
+    for rows, cols in groups:
+        if some_empty:
+            dead = table.empty[cols].all(axis=1)
+            degenerate[rows[dead]] = True
+            rows, cols = rows[~dead], cols[~dead]
+            if not rows.size:
+                continue
+        if method.name == "gEIGP":
+            # argmax takes the first maximum: ties go to the lowest id
+            best = cols[np.arange(len(rows)), table.eps[cols].argmax(axis=1)]
+            weights[rows, best] = 1.0
+            selected[rows, best] = True
+            continue
+        sel, gauss = _adaptive_rows(table.eps[cols], method.theta)
+        w = _minmax_rows(gauss, sel)
+        if nu == 1.0:
+            w = _normalize_rows(w)
+        else:
+            for p in np.unique(cols[sel]).tolist():
+                if precisions[p] == 0.0:
+                    var = models[table.ids[p]].posterior_var(x)
+                    gains[p] = _log_precision_gain(cfg, var, table.ids[p])
+                    precisions[p], variances[p] = 1.0 / var, var
+            G = np.where(sel, gains[cols], 0.0)
+            if method.tradeoff is None:
+                P = np.where(sel, precisions[cols], 0.0)
+                w = _aeigp_rows(w, G, P, nu, cfg.prior_plus_noise)
+            else:
+                ids = np.array(table.ids)[cols]
+                w = _generalized_rows(w, sel, G, variances[cols], ids, nu, method.tradeoff, cfg)
+        rows = rows[:, None]
+        weights[rows, cols] = w
+        selected[rows, cols] = sel
+    if degenerate.any():
+        dead = np.flatnonzero(degenerate)
+        weights[dead, dead] = 1.0
+        selected[dead, dead] = True
+    if method.name == "gEIGP":  # one collaborator per requester, at weight one
+        table.predictions = table.means[selected.argmax(axis=1)] + 0.0
+    else:
+        # a left-to-right sum over the selected terms: zeros in between change
+        # nothing, and adding 0.0 turns a leading -0.0 into the +0.0 that a
+        # sum started from zero gives
+        terms = np.zeros((k, k, table.means.shape[1]))
+        np.multiply(weights[:, :, None], table.means, out=terms, where=selected[:, :, None])
+        table.predictions = np.cumsum(terms, axis=1)[:, -1] + 0.0
+    table.weights, table.selected, table.degenerate = weights, selected, degenerate
 
 
 def joint_predict(
@@ -398,62 +512,38 @@ def joint_predict(
     graph: Graph,
     method: MethodSpec,
     cfg: KernelConfig,
-    evaluations: dict[int, AgentEvaluation] | None = None,
+    evaluations: RoundTable | None = None,
 ) -> tuple[np.ndarray, AggregationPlan]:
     """One agent's cooperative prediction at a query point.
 
-    EIGP methods select collaborators from the round's ``evaluations``
-    (built for the closed neighborhood when not given) and combine their
-    truncated means; baselines engage the whole neighborhood with classical
+    EIGP methods select collaborators from the round table ``evaluations``
+    and combine their truncated means. The first call on a table weighs
+    every graph node in one batched pass, later calls read their row.
+    Without a table the requester scores and weighs its own closed
+    neighborhood. Baselines engage the whole neighborhood with classical
     per-query expert predictions. If every neighborhood model is empty the
     prior mean 0 is returned with a flagged plan.
     """
-    d = cfg.output_dim
     neighborhood = graph.closed_neighborhood(requester)
     if method.is_baseline:
         return _baseline_predict(requester, x, models, neighborhood, method, cfg)
-    if evaluations is None:
-        evaluations = evaluate_round(neighborhood, x, models, method)
-
-    eps = {s: evaluations[s].score.epsilon for s in neighborhood}
-    if all(models[s].n == 0 for s in neighborhood):
-        # the requester's own empty model contributes the prior mean 0
-        plan = AggregationPlan(
-            requester=requester,
-            selected=(requester,),
-            weights={requester: np.ones(d)},
-            method=method.name,
-            degenerate=True,
-        )
-    elif method.name == "gEIGP":
-        plan = greedy_select(requester, eps, d)
+    table = evaluations
+    if table is None:
+        table = evaluate_round(neighborhood, x, models, method)
+        p = neighborhood.index(requester)
+        own = [(np.array([p]), np.arange(len(neighborhood))[None, :])]
+        _weigh(table, own, models, x, method, cfg)
     else:
-        selected, phi = adaptive_select(eps, method.theta)
-        tilde_eps = gaussianize_epsilon(eps)
-        tilde_w = error_weights(tilde_eps, phi)
-        if method.nu == 1.0:
-            weights = proportional_normalize(tilde_w)
-        else:
-            variances = {s: evaluations[s].posterior_var(models[s], x) for s in selected}
-            if method.tradeoff is None:
-                weights = aeigp_weights(tilde_w, variances, method.nu, cfg)
-            else:
-                weights = generalized_weights(tilde_w, variances, method.nu, method.tradeoff, cfg)
-        plan = AggregationPlan(
-            requester=requester,
-            selected=selected,
-            weights=_tile(weights, d),
-            method=method.name,
-            nu=method.nu,
-            theta=method.theta,
-            tradeoff=method.tradeoff.kind if method.tradeoff else None,
-        )
-    plan.evaluations = evaluations
-
-    prediction = np.zeros(d)
-    for s in plan.selected:
-        prediction += plan.weights[s] * evaluations[s].mean
-    return prediction, plan
+        if table.weights is None:
+            if table.ids != graph.nodes:
+                raise InvalidInputError("a round table must hold every graph node in id order")
+            _weigh(table, graph.groups, models, x, method, cfg)
+        p = requester - 1
+    plan = AggregationPlan(
+        requester, table.ids, table.weights[p], _chosen(table.ids, table.selected[p]),
+        method.name, cfg.output_dim, bool(table.degenerate[p]), table,
+    )
+    return table.predictions[p], plan
 
 
 def _baseline_predict(requester, x, models, neighborhood, method, cfg):
@@ -468,11 +558,7 @@ def _baseline_predict(requester, x, models, neighborhood, method, cfg):
     prediction = np.zeros(d)
     for s in neighborhood:
         prediction += weights[s] * means[s]
-    plan = AggregationPlan(
-        requester=requester,
-        selected=tuple(neighborhood),
-        weights=_tile(weights, d),
-        method=method.name,
-        degenerate=all(models[s].n == 0 for s in neighborhood),
-    )
+    row = np.array([weights[s] for s in neighborhood])
+    degenerate = all(models[s].n == 0 for s in neighborhood)
+    plan = AggregationPlan(requester, neighborhood, row, neighborhood, method.name, d, degenerate)
     return prediction, plan

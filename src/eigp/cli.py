@@ -235,7 +235,6 @@ def cmd_gen_toy(args) -> int:
 
 def cmd_validate_config(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    build_graph(config.graph, config.agents)
     print(f"config OK: scenario={config.scenario} method={config.method} seed={config.seed}")
     return 0
 

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 from .aggregation import ALL_METHODS, MethodSpec, TradeoffSpec
 from .errors import ConfigError
+from .graph import build_graph
 from .kernels import KernelConfig
 from .quality import RHO_KINDS, RhoPolicy
 
@@ -80,6 +81,9 @@ class ExperimentConfig:
             raise ConfigError("schedule must be 'cyclic' or 'round-robin'")
         self.kernel_config()  # validates kernel ranges
         self.method_spec()  # validates method parameter ranges
+        build_graph(self.graph, self.agents)  # validates the edge list
+        if self.scenario == "toy" and self.graph != "full":
+            raise ConfigError("the toy experiment runs on the complete graph: set graph to 'full'")
 
     # ------------------------------------------------------------------
     # derived objects

@@ -11,7 +11,11 @@ class Graph:
     """Symmetric neighbor structure without self-loops.
 
     ``closed_neighborhood(i)`` returns i together with its neighbors, the
-    candidate pool for cooperative prediction.
+    candidate pool for cooperative prediction. ``mask[i - 1, j - 1]`` is
+    true when j lies in the closed neighborhood of i. ``groups`` gathers the
+    nodes by closed-neighborhood size: each entry pairs node positions
+    (i - 1) with the positions of their neighborhoods in id order, one row
+    per node.
     """
 
     def __init__(self, n: int, edges):
@@ -35,6 +39,14 @@ class Graph:
         self.edges = frozenset(seen)
         self._neighbors = {i: tuple(sorted(neighbors[i])) for i in neighbors}
         self._closed = {i: tuple(sorted({i, *neighbors[i]})) for i in neighbors}
+        self.mask = np.zeros((n, n), dtype=bool)
+        for i, closed in self._closed.items():
+            self.mask[i - 1, np.subtract(closed, 1)] = True
+        sizes = self.mask.sum(axis=1)
+        self.groups = tuple(
+            (rows, np.nonzero(self.mask[rows])[1].reshape(rows.size, -1))
+            for rows in (np.flatnonzero(sizes == size) for size in np.unique(sizes))
+        )
 
     @property
     def nodes(self) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import AggregationPlan, MethodSpec, evaluate_round, joint_predict
+from .aggregation import AggregationPlan, MethodSpec, RoundTable, evaluate_round, joint_predict
 from .bounds import BoundParams, eta_bound, tilde_eta
 from .errors import InvalidInputError, MetricError
 from .graph import Graph, fully_connected
@@ -169,9 +169,11 @@ class _RunningSmse:
         self._t_m2 = 0.0
 
     def update(self, predictions: dict[int, np.ndarray], truth: np.ndarray):
-        for pred in predictions.values():
-            self._sq_err += float(np.sum((pred - truth) ** 2))
-            self._err_count += truth.size
+        """Add one round: the squared errors of every agent's prediction, row by row."""
+        errors = np.array(list(predictions.values())) - truth
+        for sq in np.sum(errors**2, axis=1).tolist():
+            self._sq_err += sq
+        self._err_count += errors.size
         if self._t_shift is None:
             self._t_shift = float(truth[0])
         for t in truth.tolist():
@@ -200,7 +202,8 @@ def predict_round(
     """All agents' joint predictions at one query, with wall-clock timing.
 
     EIGP methods score every agent once into a table that all requesters
-    share; the timing covers building it.
+    share, and the first requester's call weighs every requester in one
+    batched pass; the timing covers both.
     """
     preds: dict[int, np.ndarray] = {}
     plans: dict[int, AggregationPlan] = {}
@@ -213,31 +216,25 @@ def predict_round(
 
 
 def _round_bounds(
-    plans: dict[int, AggregationPlan],
-    bounds: BoundParams,
-    models: dict[int, AgentModel],
+    table: RoundTable, bounds: BoundParams, models: dict[int, AgentModel]
 ) -> dict[int, float]:
-    """Per-agent aggregated error bounds from the round's shared evaluations.
+    """Per-agent aggregated error bounds from the round table's weights.
 
     Each selected agent's single-model bound tilde_eta is computed once; a
-    requester's bound is the weighted sum over its collaborators. The round
-    scores at lam = 1, so epsilon is divided by the certified ``bounds.lam``.
+    requester's bound is the weighted sum over its collaborators, and a
+    collaborator at weight zero adds nothing. The round scores at lam = 1,
+    so epsilon is divided by the certified ``bounds.lam``.
     """
-    tilde: dict[int, float] = {}
-    hat: dict[int, float] = {}
-    for i, plan in plans.items():
-        if plan.degenerate:
-            hat[i] = math.inf
-            continue
-        total = 0.0
-        for s in plan.selected:
-            if s not in tilde:
-                entry = plan.evaluations[s]
-                eta = eta_bound(models[s], entry.score.idx, bounds.beta)
-                tilde[s] = tilde_eta(eta, entry.score.epsilon / bounds.lam, entry.mean)
-            total += float(plan.weights[s][0]) * tilde[s]
-        hat[i] = total
-    return hat
+    live = ~table.degenerate
+    tilde = np.zeros(len(table.ids))
+    for p in np.flatnonzero(table.selected[live].any(axis=0)).tolist():
+        score = table.scores[p]
+        eta = eta_bound(models[table.ids[p]], score.idx, bounds.beta)
+        tilde[p] = tilde_eta(eta, score.epsilon / bounds.lam, table.means[p])
+    W = table.weights
+    terms = np.multiply(W, tilde, out=np.zeros(W.shape), where=W > 0)
+    hat = np.where(live, np.cumsum(terms, axis=1)[:, -1], math.inf)
+    return dict(zip(table.ids, hat.tolist()))
 
 
 def _record_step(
@@ -248,7 +245,7 @@ def _record_step(
     sizes = {i: len(plans[i].selected) for i in plans}
     hat = None
     if bounds is not None and not method.is_baseline:
-        hat = _round_bounds(plans, bounds, models)
+        hat = _round_bounds(next(iter(plans.values())).evaluations, bounds, models)
     return SimRecord(
         iteration=k,
         query=np.atleast_1d(np.asarray(x, dtype=float)),

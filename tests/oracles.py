@@ -5,6 +5,8 @@ and through ``score_and_approx_mean`` (truncated error sums). Direct
 transcriptions of the paper's error-informed formulas check both.
 ``CopyingModel`` keeps the model's caches by copying on every change, the
 way ``AgentModel`` did before it deleted and appended in its own buffers.
+``joint_predict_per_requester`` selects and weighs for one requester at a
+time over dicts, the reference for the batched round.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import drot
 
-from eigp import InvalidInputError, gram, kernel_vec
+from eigp import InvalidInputError, gram, kernel_vec, score_and_approx_mean
 
 
 def posterior_mean_via_errors(model, x, j: int = 0) -> float:
@@ -126,3 +128,171 @@ def _chol_delete(L: np.ndarray, k: int) -> np.ndarray:
         r = math.hypot(a, b)
         drot(out[k + i :, k + i], x[i:], a / r, b / r, overwrite_x=True, overwrite_y=True)
     return out
+
+
+# ----------------------------------------------------------------------
+# per-requester selection and weights over dicts
+# ----------------------------------------------------------------------
+
+
+def joint_predict_per_requester(requester, x, models, graph, method, cfg):
+    """One requester's EIGP prediction through dicts of scalars, one agent at a time.
+
+    The selection and weight pipeline the library ran per requester before
+    it weighed every requester of a round in one batched pass. Returns the
+    prediction, the selected ids, their ``(d,)`` weights and the degenerate
+    flag.
+    """
+    d = cfg.output_dim
+    neighborhood = graph.closed_neighborhood(requester)
+    evaluations = {s: score_and_approx_mean(models[s], x, method.rho_policy) for s in neighborhood}
+    eps = {s: evaluations[s][0].epsilon for s in neighborhood}
+    degenerate = all(models[s].n == 0 for s in neighborhood)
+    if degenerate:
+        selected, weights = (requester,), {requester: 1.0}
+    elif method.name == "gEIGP":
+        best = _argmax_agent(eps)
+        selected, weights = (best,), {best: 1.0}
+    else:
+        selected, phi = _adaptive_select(eps, method.theta)
+        tilde_w = _error_weights(_gaussianize_epsilon(eps), phi)
+        if method.nu == 1.0:
+            weights = _proportional_normalize(tilde_w)
+        else:
+            variances = {s: models[s].posterior_var(x) for s in selected}
+            if method.tradeoff is None:
+                weights = _aeigp_weights(tilde_w, variances, method.nu, cfg)
+            else:
+                weights = _generalized_weights(
+                    tilde_w, variances, method.nu, method.tradeoff, cfg
+                )
+    tiled = _tile(weights, d)
+    prediction = np.zeros(d)
+    for s in selected:
+        prediction += tiled[s] * evaluations[s][1]
+    return prediction, selected, tiled, degenerate
+
+
+def _tile(weights, d):
+    return {s: np.full(d, w) for s, w in weights.items()}
+
+
+def _argmax_agent(scores):
+    best = None
+    best_score = -math.inf
+    for s in sorted(scores):
+        if scores[s] > best_score:
+            best, best_score = s, scores[s]
+    return best
+
+
+def _sentinel_set(scores):
+    return tuple(s for s in sorted(scores) if math.isinf(scores[s]))
+
+
+def _gaussianize_epsilon(scores):
+    sentinels = _sentinel_set(scores)
+    if sentinels:
+        return {s: (1.0 if s in sentinels else 0.0) for s in scores}
+    values = np.array([scores[s] for s in sorted(scores)])
+    sigma = float(np.std(values))
+    if sigma == 0.0:
+        return {s: 1.0 for s in scores}
+    top = float(values.max())
+    return {
+        s: float(np.exp(-((top - scores[s]) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi)))
+        for s in scores
+    }
+
+
+def _adaptive_select(scores, theta):
+    sentinels = _sentinel_set(scores)
+    if sentinels:
+        return sentinels, {s: (1 if s in sentinels else 0) for s in scores}
+    values = [scores[s] for s in scores]
+    threshold = max(values) - theta * float(np.std(values))
+    phi = {s: (1 if scores[s] >= threshold else 0) for s in scores}
+    return tuple(s for s in sorted(scores) if phi[s]), phi
+
+
+def _minmax_normalize(v):
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    lo, hi = float(v.min()), float(v.max())
+    if hi == lo:
+        return np.ones_like(v)
+    return (v - lo) / (hi - lo)
+
+
+def _proportional_normalize(values):
+    total = sum(values.values())
+    if total <= 0:
+        raise InvalidInputError("proportional normalization needs a positive total")
+    return {s: v / total for s, v in values.items()}
+
+
+def _error_weights(tilde_eps, phi):
+    selected = [s for s in sorted(phi) if phi[s]]
+    scaled = _minmax_normalize([tilde_eps[s] for s in selected])
+    return dict(zip(selected, (float(w) for w in scaled)))
+
+
+def _log_precision_gain(cfg, var, agent):
+    cap = cfg.prior_plus_noise
+    if var <= 0:
+        raise InvalidInputError(f"agent {agent}: posterior variance must be positive")
+    if var > cap * (1.0 + 1e-6):
+        raise InvalidInputError(f"agent {agent}: posterior variance {var} exceeds prior plus noise")
+    return math.log(cap / min(var, np.nextafter(cap, 0.0)))
+
+
+def _aeigp_weights(tilde_w, variances, nu, cfg):
+    ids = sorted(tilde_w)
+    prior = cfg.prior_plus_noise
+    gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
+    precisions = {s: 1.0 / variances[s] for s in ids}
+    agg_precision = sum(tilde_w[s] * gains[s] * precisions[s] for s in ids)
+    agg_precision += (1.0 - sum(tilde_w[s] ** nu * gains[s] ** (1.0 - nu) for s in ids)) / prior
+    agg_var = 1.0 / agg_precision if agg_precision > 0 else 1.0
+    scores = {
+        s: tilde_w[s] ** nu * (gains[s] * precisions[s] * agg_var) ** (1.0 - nu) for s in ids
+    }
+    return _proportional_normalize(scores)
+
+
+def _family_scores(family, gains, variances, cfg):
+    ids = sorted(variances)
+    precisions = {s: 1.0 / variances[s] for s in ids}
+    numerators = {s: gains[s] * precisions[s] for s in ids}
+    if family == "poe":
+        denom = sum(numerators.values())
+    else:
+        denom = sum(precisions.values()) + (1.0 - sum(gains.values())) / cfg.prior_plus_noise
+    if denom <= 0:
+        raise InvalidInputError("variance-family denominator must be positive")
+    return {s: numerators[s] / denom for s in ids}
+
+
+def _generalized_weights(tilde_w, variances, nu, spec, cfg):
+    ids = sorted(tilde_w)
+    gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
+    family = _family_scores(spec.variance_family, gains, variances, cfg)
+    if spec.kind == "logarithmic":
+        for s in ids:
+            if tilde_w[s] <= 0 or family[s] <= 0:
+                raise InvalidInputError(f"agent {s}: logarithmic trade-off needs positive arguments")
+    scores = {}
+    for s in ids:
+        a, b = tilde_w[s], family[s]
+        if spec.kind == "linear":
+            scores[s] = nu * a + (1.0 - nu) * b
+        elif spec.kind == "power":
+            scores[s] = a**nu * b ** (1.0 - nu)
+        elif spec.kind == "exponential":
+            scores[s] = math.exp(nu * a) + math.exp((1.0 - nu) * b)
+        else:
+            scores[s] = nu * math.log(a) + (1.0 - nu) * math.log(b)
+        if scores[s] < 0:
+            raise InvalidInputError(f"agent {s}: trade-off score {scores[s]} is negative")
+    if all(v == 0.0 for v in scores.values()):
+        scores = {s: 1.0 for s in ids}
+    return _proportional_normalize(scores)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eigp import (
     AgentModel,
+    Graph,
     InvalidInputError,
     KernelConfig,
     MethodSpec,
@@ -23,9 +24,11 @@ from eigp import (
     greedy_select,
     joint_predict,
     minmax_normalize,
+    predict_round,
     proportional_normalize,
 )
 from eigp.quality import RhoPolicy
+import oracles
 
 CFG = KernelConfig(signal_variance=1.0, lengthscale=0.5, noise_variance=0.25)
 
@@ -408,3 +411,110 @@ def test_geigp_selects_exactly_one_always():
         x = rng.uniform(-2, 18, size=1)
         _, plan = joint_predict(1, x, models, graph, MethodSpec("gEIGP"), CFG)
         assert len(plan.selected) == 1
+
+
+# ----------------------------------------------------------------------
+# the batched round against one requester at a time
+# ----------------------------------------------------------------------
+
+ROUND_GRAPHS = {
+    "complete": fully_connected(5),
+    "ring": Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
+    "star": Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]),
+    "path": Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
+    "isolated node": Graph(5, [(1, 2), (2, 3), (3, 4)]),
+}
+
+
+def round_models(rng, cfg, sizes):
+    """Agents with the given dataset sizes; agents 2 and 4 hold the same data, so tie."""
+    models = {}
+    for i, size in enumerate(sizes, start=1):
+        X = rng.uniform(-1.2, 1.2, size=(size, 1)) + 0.3 * i
+        Y = np.sin(3.0 * X) + rng.normal(0.0, 0.3, size=(size, cfg.output_dim))
+        models[i] = AgentModel.from_data(cfg, X, Y)
+    models[4] = AgentModel.from_data(cfg, models[2].X, models[2].Y)
+    return models
+
+
+def round_methods():
+    yield MethodSpec("gEIGP")
+    for theta in (0.0, 0.25, 1.0, 4.0):
+        for nu in (0.0, 0.5, 1.0):
+            yield MethodSpec("aEIGP", nu=nu, theta=theta)
+    for kind in ("linear", "power", "exponential", "logarithmic"):
+        for family in ("poe", "bcm"):
+            yield MethodSpec("aEIGP", nu=0.5, theta=4.0, tradeoff=TradeoffSpec(kind, family))
+
+
+def assert_round_matches_oracle(models, graph, x, method, cfg):
+    expected, failed = {}, False
+    for i in graph.nodes:
+        try:
+            expected[i] = oracles.joint_predict_per_requester(i, x, models, graph, method, cfg)
+        except InvalidInputError:
+            failed = True
+    if failed:
+        with pytest.raises(InvalidInputError):
+            predict_round(models, graph, x, method, cfg)
+        return False
+    preds, plans, _ = predict_round(models, graph, x, method, cfg)
+    for i, (pred, selected, weights, degenerate) in expected.items():
+        plan = plans[i]
+        assert preds[i].tobytes() == pred.tobytes()  # bit for bit, sign of zero included
+        assert plan.selected == selected
+        assert plan.weights.keys() == weights.keys()
+        for s, w in weights.items():
+            assert plan.weights[s].tobytes() == w.tobytes()
+        assert plan.degenerate == degenerate
+    return True
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("graph_name", list(ROUND_GRAPHS))
+def test_batched_round_matches_per_requester_oracle(graph_name, d):
+    graph = ROUND_GRAPHS[graph_name]
+    cfg = KernelConfig(signal_variance=1.0, lengthscale=0.3, noise_variance=0.1, output_dim=d)
+    rng = np.random.default_rng(d)
+    # every model empty; one empty agent; single points (nothing excluded,
+    # the infinity sentinel); regular sizes
+    raised = []
+    for sizes in ([0] * 5, [8, 0, 12, 0, 10], [1, 6, 1, 6, 9], [10, 14, 9, 14, 12]):
+        models = round_models(rng, cfg, sizes)
+        # a query far from every point includes none at rho 0.99: epsilon 0
+        # and a truncated mean of -0.0 everywhere
+        for rho, x in (
+            (RhoPolicy("mean"), rng.uniform(-1.0, 2.5, size=1)),
+            (RhoPolicy("min"), rng.uniform(-1.0, 2.5, size=1)),
+            (RhoPolicy("constant", 0.3), rng.uniform(-1.0, 2.5, size=1)),
+            (RhoPolicy("constant", 0.99), np.array([9.0])),
+        ):
+            for method in round_methods():
+                method = MethodSpec(method.name, method.nu, method.theta, rho, method.tradeoff)
+                if not assert_round_matches_oracle(models, graph, x, method, cfg):
+                    raised.append(method.tradeoff.kind)
+    # a zero error weight breaks only the logarithmic trade-off
+    assert raised and set(raised) == {"logarithmic"}
+
+
+def test_row_kernels_match_dict_oracle_bit_for_bit():
+    # numpy's square, sqrt and SIMD power differ from Python's ** in about
+    # 0.1% of values; thousands of random rows make such a slip show
+    rng = np.random.default_rng(12)
+    for _ in range(1500):
+        k = int(rng.integers(1, 9))
+        scores = {s: float(v) for s, v in enumerate(rng.uniform(0.0, 3.0, k) ** 3, start=1)}
+        theta, nu = float(rng.choice([0.0, 0.25, 1.0, 4.0])), float(rng.uniform(0.0, 1.0))
+        assert gaussianize_epsilon(scores) == oracles._gaussianize_epsilon(scores)
+        selected, phi = adaptive_select(scores, theta)
+        assert (selected, phi) == oracles._adaptive_select(scores, theta)
+        tilde_w = error_weights(gaussianize_epsilon(scores), phi)
+        assert tilde_w == oracles._error_weights(oracles._gaussianize_epsilon(scores), phi)
+        variances = {s: float(rng.uniform(0.01, CFG.kappa0)) for s in selected}
+        assert aeigp_weights(tilde_w, variances, nu, CFG) == oracles._aeigp_weights(
+            tilde_w, variances, nu, CFG
+        )
+        spec = TradeoffSpec("power", str(rng.choice(["poe", "bcm"])))
+        assert generalized_weights(tilde_w, variances, nu, spec, CFG) == (
+            oracles._generalized_weights(tilde_w, variances, nu, spec, CFG)
+        )

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from eigp import ExperimentConfig, InvalidInputError, load_dataset, toy_function
+from eigp import ConfigError, ExperimentConfig, InvalidInputError, load_dataset, toy_function
 from eigp.cli import cmd_validate_config, main
 from eigp.sim import TOY_INTERVAL
 
@@ -190,3 +190,14 @@ def test_validate_config_rejects_bad_graph(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
     with pytest.raises(InvalidInputError):
         cmd_validate_config(argparse.Namespace(config=str(path)))
+
+
+def test_toy_config_rejects_a_graph_it_would_not_use(tmp_path, capsys):
+    path = write_config(tmp_path, method="MOE", graph=[[1, 2], [2, 3], [3, 4]])
+    assert main(["validate-config", "--config", str(path)]) == 1
+    assert "complete graph" in capsys.readouterr().err
+    out = tmp_path / "path-graph"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert not (out / "summary.json").exists()
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(path)

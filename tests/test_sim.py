@@ -8,6 +8,7 @@ import pytest
 from eigp import (
     AgentModel,
     BoundParams,
+    Graph,
     InvalidInputError,
     KernelConfig,
     MethodSpec,
@@ -21,6 +22,7 @@ from eigp import (
     run_offline_toy,
     run_online,
     score_and_approx_mean,
+    sim,
     smse,
     tilde_eta,
     toy_function,
@@ -316,3 +318,46 @@ def test_predict_round_scores_each_agent_once(monkeypatch):
             alone, plan = joint_predict(i, x, models, graph, method, CFG)
             assert np.array_equal(preds[i], alone)
             assert plan.selected == plans[i].selected
+
+
+def test_predict_round_keeps_calling_the_traced_names(monkeypatch):
+    # a benchmark trace times these names by rebinding them; a round that
+    # stopped calling one would leave its per-layer metrics silent
+    rng = np.random.default_rng(23)
+    models = {}
+    for i in range(1, 5):
+        X = rng.uniform(-1.2, 1.2, size=(25, 1))
+        models[i] = AgentModel.from_data(CFG, X, toy_function(X, rng))
+    ring = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+    calls = {"joint_predict": [], "score": [], "var": [], "classical": []}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key].append(args[0])
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(sim, "joint_predict", counting("joint_predict", sim.joint_predict))
+    monkeypatch.setattr(
+        aggregation, "score_and_approx_mean", counting("score", aggregation.score_and_approx_mean)
+    )
+    monkeypatch.setattr(AgentModel, "posterior_var", counting("var", AgentModel.posterior_var))
+    monkeypatch.setattr(
+        AgentModel, "classical_predict", counting("classical", AgentModel.classical_predict)
+    )
+    for graph in (fully_connected(4), ring):
+        for x in rng.uniform(-1.2, 1.2, size=(3, 1)):
+            for key in calls:
+                calls[key].clear()
+            predict_round(models, graph, x, MethodSpec("aEIGP", nu=0.5, theta=1.0), CFG)
+            assert calls["joint_predict"] == list(graph.nodes)
+            assert sorted(id(m) for m in calls["score"]) == sorted(id(m) for m in models.values())
+            assert 1 <= len(calls["var"]) == len({id(m) for m in calls["var"]}) <= 4
+            assert calls["classical"] == []
+
+            calls["joint_predict"].clear()
+            predict_round(models, graph, x, MethodSpec("MOE"), CFG)
+            assert calls["joint_predict"] == list(graph.nodes)
+            pairs = sum(len(graph.closed_neighborhood(i)) for i in graph.nodes)
+            assert len(calls["classical"]) == pairs

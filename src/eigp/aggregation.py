@@ -80,42 +80,29 @@ class MethodSpec:
         return self.name in BASELINE_METHODS
 
 
-@dataclass
-class AgentEvaluation:
-    """One agent's score and truncated mean from one :func:`score_and_approx_mean` call."""
-
-    score: QualityScore
-    mean: np.ndarray
-
-
 class RoundTable:
     """One query round's evaluations as arrays indexed by agent position.
 
-    ``ids`` is the agent id at each position; ``eps``, ``means`` (agents x d)
-    and ``empty`` hold each agent's epsilon, truncated mean and empty-model
-    flag. The batched pass (:func:`_weigh`) fills ``weights`` (requester x
-    agent, zero off the selection), ``selected``, ``degenerate`` and
-    ``predictions`` (requester x d), one row per requester position.
+    ``ids`` is the agent id at each position; ``scores`` (read by the
+    bounds), ``eps``, ``means`` (agents x d) and ``empty`` hold each agent's
+    quality score, epsilon, truncated mean and empty-model flag. The batched
+    pass (:func:`_weigh`) fills ``weights`` (requester x agent, zero off the
+    selection), ``selected``, ``degenerate`` and ``predictions`` (requester
+    x d), one row per requester position.
     """
 
     def __init__(self, ids: tuple[int, ...], scores: list[QualityScore], eps, means, empty):
         self.ids, self.scores, self.eps, self.means, self.empty = ids, scores, eps, means, empty
         self.weights = self.selected = self.degenerate = self.predictions = None
 
-    def __getitem__(self, agent: int) -> AgentEvaluation:
-        p = self.ids.index(agent)
-        return AgentEvaluation(self.scores[p], self.means[p])
-
 
 @dataclass
 class AggregationPlan:
     """One requester's collaborators and weights: a view on its row of the round's weights."""
 
-    requester: int
     ids: tuple[int, ...]  # agent id at each entry of ``row``
     row: np.ndarray  # weight per agent, zero off the selection
     selected: tuple[int, ...]
-    method: str
     d: int = 1  # output dimensions
     degenerate: bool = False  # set when every neighborhood model was empty
     evaluations: RoundTable | None = None  # the round table; None for baselines
@@ -135,7 +122,7 @@ def evaluate_round(agents, x, models: dict[int, AgentModel], method: MethodSpec)
     """
     ids = tuple(agents)
     policy = method.rho_policy
-    scores, means = zip(*(score_and_approx_mean(models[s], x, policy, agent_id=s) for s in ids))
+    scores, means = zip(*(score_and_approx_mean(models[s], x, policy) for s in ids))
     eps = np.array([score.epsilon for score in scores])
     empty = np.array([models[s].n == 0 for s in ids])
     return RoundTable(ids, list(scores), eps, np.array(means), empty)
@@ -180,13 +167,17 @@ def _adaptive_rows(E: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def greedy_select(requester: int, scores: dict[int, float], d: int = 1) -> AggregationPlan:
-    """Adopt the single neighbor with maximal epsilon, weight one."""
+    """Adopt the single neighbor with maximal epsilon, weight one.
+
+    The choice does not depend on ``requester``, whose neighbors' scores
+    ``scores`` holds.
+    """
     if not scores:
         raise InvalidInputError("greedy selection needs at least one score")
     ids = tuple(sorted(scores))
     row = np.zeros(len(ids))
     row[_row(scores, ids)[0].argmax()] = 1.0  # the first maximum: ties go to the lowest id
-    return AggregationPlan(requester, ids, row, _chosen(ids, row), "gEIGP", d)
+    return AggregationPlan(ids, row, _chosen(ids, row), d)
 
 
 def gaussianize_epsilon(scores: dict[int, float]) -> dict[int, float]:
@@ -526,7 +517,7 @@ def joint_predict(
     """
     neighborhood = graph.closed_neighborhood(requester)
     if method.is_baseline:
-        return _baseline_predict(requester, x, models, neighborhood, method, cfg)
+        return _baseline_predict(x, models, neighborhood, method, cfg)
     table = evaluations
     if table is None:
         table = evaluate_round(neighborhood, x, models, method)
@@ -540,13 +531,13 @@ def joint_predict(
             _weigh(table, graph.groups, models, x, method, cfg)
         p = requester - 1
     plan = AggregationPlan(
-        requester, table.ids, table.weights[p], _chosen(table.ids, table.selected[p]),
-        method.name, cfg.output_dim, bool(table.degenerate[p]), table,
+        table.ids, table.weights[p], _chosen(table.ids, table.selected[p]),
+        cfg.output_dim, bool(table.degenerate[p]), table,
     )
     return table.predictions[p], plan
 
 
-def _baseline_predict(requester, x, models, neighborhood, method, cfg):
+def _baseline_predict(x, models, neighborhood, method, cfg):
     d = cfg.output_dim
     means: dict[int, np.ndarray] = {}
     variances: dict[int, float] = {}
@@ -560,5 +551,5 @@ def _baseline_predict(requester, x, models, neighborhood, method, cfg):
         prediction += weights[s] * means[s]
     row = np.array([weights[s] for s in neighborhood])
     degenerate = all(models[s].n == 0 for s in neighborhood)
-    plan = AggregationPlan(requester, neighborhood, row, neighborhood, method.name, d, degenerate)
+    plan = AggregationPlan(neighborhood, row, neighborhood, d, degenerate)
     return prediction, plan

@@ -177,34 +177,36 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    summaries = []
-    for run_dir in args.runs:
-        path = os.path.join(run_dir, "summary.json")
-        if not os.path.exists(path):
-            raise ComparisonError(f"{run_dir}: no summary.json (incomplete run?)")
+def _compare_row(run_dir: str) -> tuple[tuple, dict]:
+    """A run's (scenario, seed) and the row ``compare`` shows for it."""
+    path = os.path.join(run_dir, "summary.json")
+    if not os.path.exists(path):
+        raise ComparisonError(f"{run_dir}: no summary.json (incomplete run?)")
+    try:
         with open(path, encoding="utf-8") as fh:
-            summaries.append((run_dir, json.load(fh)))
-    if len(summaries) < 2:
-        raise ComparisonError("compare needs at least two run directories")
-    scenarios = {(s["config"]["scenario"], s["config"]["seed"]) for _, s in summaries}
-    if len(scenarios) != 1:
-        raise ComparisonError(f"runs mix scenarios/seeds: {sorted(scenarios)}")
-
-    rows = [
-        {
+            s = json.load(fh)
+        key = (s["config"]["scenario"], s["config"]["seed"])
+        row = {
             "method": s["method"],
-            "mean_time_ms": s["mean_prediction_time_ms"],
-            "final_smse": s["final_smse"],
-            "mean_active_agents": s["mean_active_agents"],
+            "mean_time_ms": float(s["mean_prediction_time_ms"]),
+            "final_smse": float(s["final_smse"]),
+            "mean_active_agents": float(s["mean_active_agents"]),
             "run": run_dir,
         }
-        for run_dir, s in summaries
-    ]
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ComparisonError(f"{run_dir}: malformed summary.json: {exc!r}") from None
+    return key, row
+
+
+def cmd_compare(args) -> int:
+    keys, rows = zip(*(_compare_row(run_dir) for run_dir in args.runs))
+    if len(rows) < 2:
+        raise ComparisonError("compare needs at least two run directories")
+    if len(set(keys)) != 1:
+        raise ComparisonError(f"runs mix scenarios/seeds: {sorted(set(keys))}")
+
     order = sorted(range(len(rows)), key=lambda i: rows[i]["mean_time_ms"])
-    marks = {order[0]: "fastest"}
-    if len(order) > 1:
-        marks[order[1]] = "second"
+    marks = {order[0]: "fastest", order[1]: "second"}
 
     header = f"{'method':<14}{'mean_time_ms':>14}{'final_smse':>14}{'active_agents':>15}  note"
     lines = [header, "-" * len(header)]

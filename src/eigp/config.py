@@ -158,6 +158,8 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         return cls.from_dict(raw)

@@ -8,6 +8,11 @@ prediction and for the error-informed machinery built on top:
     alpha   (N, d)  solutions of (K + noise_variance * I) alpha = Y
     errors  (d, N)  per-point prediction errors, errors[j] = -noise * alpha[:, j]
 
+A query has one mean path, ``k @ alpha``, and one variance path,
+kappa(0) - ||L^-1 k||^2 clamped at zero; ``posterior_mean``,
+``posterior_var`` and the baselines' ``classical_predict`` all read them,
+the last from a single kernel vector.
+
 X, Y, K and the factor fill the leading N rows (and columns) of buffers that
 a deletion does not shrink. A deletion shifts the surviving blocks up and
 left in place and restores the trailing factor block with a rank-1 update,
@@ -56,7 +61,7 @@ class AgentModel:
         self._L = np.zeros((0, 0), order="F")
         self._alpha = np.zeros((0, d))  # None while a deletion is unsettled
         self._errors = np.zeros((d, 0))
-        self.variance_clamps = 0  # times posterior_var was clipped up to 0
+        self.variance_clamps = 0  # posterior variances clipped up to 0
         self.refactor_fallbacks = 0  # appends that refactored instead of extending
 
     @classmethod
@@ -218,48 +223,50 @@ class AgentModel:
     # ------------------------------------------------------------------
 
     def posterior_mean(self, x, j: int = 0) -> float:
-        """Posterior mean of output dimension ``j`` via the cached alpha.
+        """Posterior mean of output dimension ``j``: entry ``j`` of ``k @ alpha``.
 
-        An empty model returns the prior mean 0.
+        The same expression as the means of :meth:`classical_predict`, so the
+        two agree bit for bit. An empty model returns the prior mean 0.
         """
         if self.n == 0:
             return 0.0
         k = kernel_vec(self.cfg, self.X, x)
-        return float(np.dot(k, self.alpha[:, j]))
+        return float((k @ self.alpha)[j])
 
     def posterior_var(self, x) -> float:
         """Posterior variance at ``x``, shared by all output dimensions.
 
-        Clamped at zero from below when cancellation produces a tiny
-        negative; an empty model returns the prior variance kappa(0).
+        An empty model returns the prior variance kappa(0).
         """
         if self.n == 0:
             return self.cfg.kappa0
+        return self._variance(kernel_vec(self.cfg, self.X, x))
+
+    def classical_predict(self, x) -> tuple[np.ndarray, float]:
+        """Means of all dimensions plus the variance, from one kernel vector.
+
+        This is the conventional expert-prediction route used by the
+        baseline aggregators: the means ``k @ alpha`` and one O(N^2) forward
+        solve for the variance per query, no reuse of the cached error
+        vectors.
+        """
+        if self.n == 0:
+            return np.zeros(self.cfg.output_dim), self.cfg.kappa0
         k = kernel_vec(self.cfg, self.X, x)
+        return k @ self.alpha, self._variance(k)
+
+    def _variance(self, k: np.ndarray) -> float:
+        """kappa0 - ||L^-1 k||^2 for the kernel vector ``k`` of a query.
+
+        Clamped at zero from below when cancellation produces a tiny
+        negative; ``variance_clamps`` counts each clamp.
+        """
         v = solve_triangular(self.chol, k, lower=True)
         var = self.cfg.kappa0 - float(v @ v)
         if var < 0.0:
             self.variance_clamps += 1
             var = 0.0
         return var
-
-    def classical_predict(self, x) -> tuple[np.ndarray, float]:
-        """Means of all dimensions plus the variance via a per-query solve.
-
-        This is the conventional expert-prediction route used by the
-        baseline aggregators: one O(N^2) solve against the factor per
-        query, no reuse of the cached error vectors.
-        """
-        if self.n == 0:
-            return np.zeros(self.cfg.output_dim), self.cfg.kappa0
-        k = kernel_vec(self.cfg, self.X, x)
-        w = cho_solve((self.chol, True), k)
-        means = w @ self.Y
-        var = self.cfg.kappa0 - float(k @ w)
-        if var < 0.0:
-            self.variance_clamps += 1
-            var = 0.0
-        return means, var
 
     # ------------------------------------------------------------------
     # diagnostics

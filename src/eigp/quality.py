@@ -1,5 +1,10 @@
 """Error-informed quality scoring: kernel-threshold index sets and epsilon.
 
+A selection keeps what its readers use: the included indices, the threshold
+rho and the query's kernel vector. The excluded points are the rest, so
+epsilon divides by their count N - |I| and never lists them. A score holds
+epsilon and the selection it came from.
+
 Every function here is pure over an immutable model snapshot; concurrent
 evaluation across agents and queries is safe.
 """
@@ -36,18 +41,16 @@ class RhoPolicy:
 
 @dataclass
 class IndexSelection:
-    """Partition of the stored points by kernel similarity to one query.
+    """The stored points kernel-similar to one query.
 
-    ``included`` holds the indices whose kernel value meets the threshold,
-    ``excluded`` the rest; the raw kernel vector is kept for reuse by the
-    epsilon score and the truncated mean.
+    ``included`` holds the indices whose kernel value meets the threshold
+    ``rho``; the rest are excluded. The raw kernel vector is kept for reuse
+    by the epsilon score and the truncated mean.
     """
 
     included: np.ndarray
-    excluded: np.ndarray
     rho: float
-    policy: RhoPolicy
-    kernel_values: np.ndarray | None = None
+    kernel_values: np.ndarray
 
 
 @dataclass
@@ -61,26 +64,14 @@ class QualityScore:
 
     epsilon: float
     idx: IndexSelection
-    agent_id: int = -1
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise InvalidInputError("epsilon must be nonnegative")
 
 
-def empty_selection(policy: RhoPolicy | None = None) -> IndexSelection:
-    """Selection for a model with no stored points (both sets empty)."""
-    return IndexSelection(
-        included=np.zeros(0, dtype=int),
-        excluded=np.zeros(0, dtype=int),
-        rho=0.0,
-        policy=policy or RhoPolicy("mean"),
-        kernel_values=np.zeros(0),
-    )
-
-
 def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
-    """Split the stored points into included/excluded sets at threshold rho.
+    """Select the stored points whose kernel value at ``x`` meets threshold rho.
 
     ``constant`` uses the given value (must lie in [0, kappa(0)]); ``mean``,
     ``median`` and ``min`` use that statistic of the kernel vector. The
@@ -101,23 +92,16 @@ def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
         rho = float(np.median(k))
     else:  # min
         rho = float(np.min(k))
-    mask = k >= rho
-    return IndexSelection(
-        included=np.flatnonzero(mask),
-        excluded=np.flatnonzero(~mask),
-        rho=rho,
-        policy=policy,
-        kernel_values=k,
-    )
+    return IndexSelection(included=np.flatnonzero(k >= rho), rho=rho, kernel_values=k)
 
 
 def score_and_approx_mean(
-    model: AgentModel, x, policy: RhoPolicy, lam: float = 1.0, agent_id: int = -1
+    model: AgentModel, x, policy: RhoPolicy, lam: float = 1.0
 ) -> tuple[QualityScore, np.ndarray]:
     """Distance-aware quality score and truncated mean of one agent at one query.
 
     With the weighted error sum num = sum_{p in I} kappa(x_p, x) e(x_p),
-    epsilon = ||num|| / (lam * rho * |excluded|), with the infinity sentinel
+    epsilon = ||num|| / (lam * rho * (N - |I|)), with the infinity sentinel
     when nothing is excluded, and the truncated mean is -num / noise. The
     shared sum makes the evaluation cost one kernel vector. ``lam`` rescales
     every agent's score equally and changes no argmax or threshold decision,
@@ -126,8 +110,8 @@ def score_and_approx_mean(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if model.n == 0:
-        score = QualityScore(math.inf, empty_selection(policy), agent_id)
-        return score, np.zeros(model.cfg.output_dim)
+        idx = IndexSelection(np.zeros(0, dtype=int), 0.0, np.zeros(0))
+        return QualityScore(math.inf, idx), np.zeros(model.cfg.output_dim)
     idx = select_indices(model, x, policy)
     included, k = idx.included, idx.kernel_values
     if included.size == 0:
@@ -137,11 +121,11 @@ def score_and_approx_mean(
     else:
         num_vec = model.errors[:, included] @ k[included]
     tilde_mu = num_vec * (-1.0 / model.cfg.noise_variance)
-    n_excluded = int(idx.excluded.size)
+    n_excluded = model.n - included.size
     if n_excluded == 0:
         eps = math.inf
     else:
         if lam <= 0:
             raise InvalidInputError("lam must be positive")
         eps = float(np.linalg.norm(num_vec)) / (lam * idx.rho * n_excluded)
-    return QualityScore(eps, idx, agent_id), tilde_mu
+    return QualityScore(eps, idx), tilde_mu

@@ -312,13 +312,19 @@ def build_scenario(rng, n_agents=3, points=12, spread=4.0):
     return models, fully_connected(n_agents)
 
 
+def truncated_mean(plan, agent):
+    """Agent's truncated mean (first dimension) in the plan's round table."""
+    table = plan.evaluations
+    return table.means[table.ids.index(agent)][0]
+
+
 def test_geigp_prediction_is_selected_agents_mean():
     rng = np.random.default_rng(3)
     models, graph = build_scenario(rng)
     method = MethodSpec("gEIGP", rho_policy=RhoPolicy("mean"))
     pred, plan = joint_predict(1, [0.1], models, graph, method, CFG)
     (chosen,) = plan.selected
-    assert pred[0] == plan.evaluations[chosen].mean[0]  # weight one, bit exact
+    assert pred[0] == truncated_mean(plan, chosen)  # weight one, bit exact
 
 
 def test_identical_models_give_common_prediction():
@@ -343,7 +349,7 @@ def test_prediction_is_weighted_sum_of_collaborator_means():
     models, graph = build_scenario(rng)
     method = MethodSpec("aEIGP", nu=0.5, theta=2.0)
     pred, plan = joint_predict(2, [3.9], models, graph, method, CFG)
-    manual = sum(plan.weights[s][0] * plan.evaluations[s].mean[0] for s in plan.selected)
+    manual = sum(plan.weights[s][0] * truncated_mean(plan, s) for s in plan.selected)
     assert pred[0] == pytest.approx(manual, rel=1e-12)
     assert_simplex(plan.weights)
 
@@ -355,10 +361,37 @@ def test_prediction_in_convex_hull_per_dimension():
         method = MethodSpec(name, nu=0.5, theta=1.0)
         pred, plan = joint_predict(1, [2.0], models, graph, method, CFG)
         if plan.evaluations is not None:
-            parts = [plan.evaluations[s].mean[0] for s in plan.selected]
+            parts = [truncated_mean(plan, s) for s in plan.selected]
         else:
             parts = [models[s].classical_predict([2.0])[0][0] for s in plan.selected]
         assert min(parts) - 1e-12 <= pred[0] <= max(parts) + 1e-12
+
+
+def clamp_every_variance(self, k):
+    """Stand-in for the model's variance path: every query clamps to 0."""
+    self.variance_clamps += 1
+    return 0.0
+
+
+def test_variance_clamped_to_zero_raises_never_nan(monkeypatch):
+    # Pins today's behaviour for a clamped agent: a typed error, not a NaN.
+    # Whether such an agent gets a floor variance or is dropped is still open.
+    rng = np.random.default_rng(8)
+    models, graph = build_scenario(rng)
+    monkeypatch.setattr(AgentModel, "_variance", clamp_every_variance)
+    x = [0.2]
+    for method in (
+        MethodSpec("aEIGP", nu=0.5, theta=1.0),
+        *(MethodSpec(name) for name in ("POE", "GPOE", "BCM", "RBCM")),
+    ):
+        with pytest.raises(InvalidInputError, match="variance must be positive"):
+            joint_predict(1, x, models, graph, method, CFG)
+        with pytest.raises(InvalidInputError, match="variance must be positive"):
+            predict_round(models, graph, x, method, CFG)
+    # methods that read no variance still predict
+    for method in (MethodSpec("gEIGP"), MethodSpec("aEIGP", nu=1.0), MethodSpec("MOE")):
+        preds = predict_round(models, graph, x, method, CFG)[0]
+        assert np.isfinite(np.concatenate(list(preds.values()))).all()
 
 
 def test_aeigp_contains_greedy_choice_and_grows_with_theta():

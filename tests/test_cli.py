@@ -2,12 +2,21 @@
 
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
 
-from eigp import ConfigError, ExperimentConfig, InvalidInputError, load_dataset, toy_function
-from eigp.cli import cmd_validate_config, main
+from eigp import (
+    AgentModel,
+    ComparisonError,
+    ConfigError,
+    ExperimentConfig,
+    InvalidInputError,
+    load_dataset,
+    toy_function,
+)
+from eigp.cli import cmd_compare, cmd_validate_config, main
 from eigp.sim import TOY_INTERVAL
 
 
@@ -122,6 +131,24 @@ def test_compare_rejects_mismatched_runs(tmp_path):
     assert main(["compare", str(out_a), str(out_b)]) == 1
 
 
+def test_compare_rejects_malformed_summary(tmp_path):
+    good = tmp_path / "good"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(good)]) == 0
+    summary = json.loads((good / "summary.json").read_text())
+    partial = {k: v for k, v in summary.items() if k != "final_smse"}
+    for name, text in (
+        ("broken", '{"method": "gEIGP", '),  # cut off mid-write
+        ("partial", json.dumps(partial)),
+        ("typo", json.dumps(dict(summary, final_smse="n/a"))),
+    ):
+        bad = tmp_path / name
+        bad.mkdir()
+        (bad / "summary.json").write_text(text)
+        with pytest.raises(ComparisonError, match=re.escape(str(bad))):
+            cmd_compare(argparse.Namespace(runs=[str(good), str(bad)], out=None))
+        assert main(["compare", str(good), str(bad)]) == 1
+
+
 def test_stream_scenario_with_dataset_file(tmp_path):
     data = tmp_path / "stream.csv"
     assert main(["gen-toy", "--out", str(data), "--rows", "60", "--seed", "5"]) == 0
@@ -150,6 +177,34 @@ def test_failed_run_leaves_machine_readable_error(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "DatasetError"
     assert not (out / "metrics.csv").exists()
+
+
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for command in ("validate-config", "run"):
+        assert main([command, "--config", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
+    with pytest.raises(ConfigError, match="missing.json"):
+        ExperimentConfig.from_json(missing)
+
+
+def test_clamped_variance_run_writes_error_json(tmp_path, monkeypatch):
+    # a posterior variance clamped to 0 stops the run with a typed error
+    def clamp_every_variance(self, k):
+        self.variance_clamps += 1
+        return 0.0
+
+    monkeypatch.setattr(AgentModel, "_variance", clamp_every_variance)
+    for method in ("aEIGP", "RBCM"):
+        config = write_config(tmp_path, name=f"{method}.json", method=method, nu=0.5)
+        out = tmp_path / method
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "InvalidInputError"
+        assert "variance must be positive" in record["message"]
+        assert not (out / "metrics.csv").exists()
 
 
 def test_bounds_config_populates_hat_eta(tmp_path):

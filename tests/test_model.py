@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eigp import AgentModel, InvalidInputError, KernelConfig, kernel_eval
+from eigp import model as model_module
 from eigp.quality import RhoPolicy, select_indices
 from oracles import approx_mean, posterior_mean_via_errors
 
@@ -184,17 +185,13 @@ def test_approx_mean_empty_and_partial_sets():
     full = select_indices(model, x, RhoPolicy("min"))
     empty = type(full)(
         included=np.zeros(0, dtype=int),
-        excluded=np.arange(2),
         rho=full.rho,
-        policy=full.policy,
         kernel_values=full.kernel_values,
     )
     assert approx_mean(model, x, empty) == 0.0
     single = type(full)(
         included=np.array([0]),
-        excluded=np.array([1]),
         rho=0.5,
-        policy=full.policy,
         kernel_values=full.kernel_values,
     )
     # hand expansion: -(1/noise) * kappa(x, x_0) * e_0
@@ -207,9 +204,7 @@ def test_approx_mean_rejects_out_of_range_indices():
     idx = select_indices(model, [0.0], RhoPolicy("min"))
     bad = type(idx)(
         included=np.array([3]),
-        excluded=np.zeros(0, dtype=int),
         rho=idx.rho,
-        policy=idx.policy,
         kernel_values=idx.kernel_values,
     )
     with pytest.raises(InvalidInputError):
@@ -225,13 +220,32 @@ def test_non_finite_inputs_rejected():
 
 
 def test_classical_predict_agrees_with_cached_paths():
+    # one mean path (k @ alpha) and one variance path: the same bits
     rng = np.random.default_rng(16)
-    model, X, Y = random_model(rng, 9, m=2, d=2)
-    x = rng.normal(size=2)
-    means, var = model.classical_predict(x)
-    for j in range(2):
-        assert means[j] == pytest.approx(model.posterior_mean(x, j), rel=1e-10)
-    assert var == pytest.approx(model.posterior_var(x), rel=1e-10)
+    for _ in range(60):
+        m, d = (int(v) for v in rng.integers(1, 4, size=2))
+        model, _, _ = random_model(rng, int(rng.integers(1, 41)), m=m, d=d)
+        x = rng.normal(size=m)
+        means, var = model.classical_predict(x)
+        assert means.tolist() == [model.posterior_mean(x, j) for j in range(d)]
+        assert var == model.posterior_var(x)
+
+
+def test_each_clamped_query_counts_one_clamp(monkeypatch):
+    rng = np.random.default_rng(17)
+    model, X, _ = random_model(rng, 8, m=2, d=2)
+    exact = model_module.kernel_vec
+    # ten times the kernel vector drives kappa0 - ||L^-1 k||^2 below zero near the data
+    monkeypatch.setattr(model_module, "kernel_vec", lambda cfg, A, x: 10.0 * exact(cfg, A, x))
+    for q, x in enumerate(X[:3]):
+        assert model.posterior_var(x) == 0.0
+        assert model.variance_clamps == 2 * q + 1
+        assert model.classical_predict(x)[1] == 0.0
+        assert model.variance_clamps == 2 * q + 2
+    far = np.full(2, 50.0)  # kernel vector 0: the prior variance, no clamp
+    assert model.posterior_var(far) == model.cfg.kappa0
+    assert model.classical_predict(far)[1] == model.cfg.kappa0
+    assert model.variance_clamps == 6
 
 
 def test_refactor_fallback_is_counted():

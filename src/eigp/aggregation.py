@@ -510,8 +510,9 @@ def joint_predict(
     EIGP methods select collaborators from the round table ``evaluations``
     and combine their truncated means. The first call on a table weighs
     every graph node in one batched pass, later calls read their row.
-    Without a table the requester scores and weighs its own closed
-    neighborhood. Baselines engage the whole neighborhood with classical
+    Without a table the call scores every graph node into a fresh table and
+    weighs it the same way, so it predicts what :func:`evaluate_round` and
+    a tabled call would. Baselines engage the whole neighborhood with classical
     per-query expert predictions. If every neighborhood model is empty the
     prior mean 0 is returned with a flagged plan.
     """
@@ -520,16 +521,12 @@ def joint_predict(
         return _baseline_predict(x, models, neighborhood, method, cfg)
     table = evaluations
     if table is None:
-        table = evaluate_round(neighborhood, x, models, method)
-        p = neighborhood.index(requester)
-        own = [(np.array([p]), np.arange(len(neighborhood))[None, :])]
-        _weigh(table, own, models, x, method, cfg)
-    else:
-        if table.weights is None:
-            if table.ids != graph.nodes:
-                raise InvalidInputError("a round table must hold every graph node in id order")
-            _weigh(table, graph.groups, models, x, method, cfg)
-        p = requester - 1
+        table = evaluate_round(graph.nodes, x, models, method)
+    if table.weights is None:
+        if table.ids != graph.nodes:
+            raise InvalidInputError("a round table must hold every graph node in id order")
+        _weigh(table, graph.groups, models, x, method, cfg)
+    p = requester - 1
     plan = AggregationPlan(
         table.ids, table.weights[p], _chosen(table.ids, table.selected[p]),
         cfg.output_dim, bool(table.degenerate[p]), table,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 from .bounds import BoundParams
 from .config import ExperimentConfig
 from .datasets import load_dataset, toy_stream, write_dataset
-from .errors import ComparisonError, EigpError
+from .errors import ComparisonError, EigpError, InvalidInputError
 from .graph import build_graph
 from .sim import TOY_INTERVAL, StreamSchedule, run_offline_toy, run_online, toy_function
 
@@ -30,16 +29,6 @@ def _atomic_write(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
-    return str(value)
 
 
 def _metrics_csv(result, no_timing: bool) -> str:
@@ -56,12 +45,12 @@ def _metrics_csv(result, no_timing: bool) -> str:
         for agent in sorted(rec.predictions):
             pred = rec.predictions[agent]
             err = float(np.linalg.norm(pred - rec.truth))
-            hat = "" if rec.hat_eta is None else _fmt(rec.hat_eta[agent])
+            hat = "" if rec.hat_eta is None else repr(rec.hat_eta[agent])
             row = (
                 [str(rec.iteration), str(agent)]
-                + [_fmt(float(v)) for v in pred]
-                + [_fmt(float(v)) for v in rec.truth]
-                + [_fmt(err), _fmt(rec.smse_cum), _fmt(time_ms), str(rec.active_agents), hat]
+                + [repr(float(v)) for v in pred]
+                + [repr(float(v)) for v in rec.truth]
+                + [repr(err), repr(rec.smse_cum), repr(time_ms), str(rec.active_agents), hat]
             )
             lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -70,8 +59,8 @@ def _metrics_csv(result, no_timing: bool) -> str:
 def _plot_csv(result) -> str:
     lines = ["x,truth," + ",".join(f"pred_agent_{a}" for a in sorted(result.records[0].predictions))]
     for rec in result.records:
-        row = [_fmt(float(rec.query[0])), _fmt(float(rec.truth[0]))]
-        row += [_fmt(float(rec.predictions[a][0])) for a in sorted(rec.predictions)]
+        row = [repr(float(rec.query[0])), repr(float(rec.truth[0]))]
+        row += [repr(float(rec.predictions[a][0])) for a in sorted(rec.predictions)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -225,6 +214,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_toy(args) -> int:
+    if args.rows < 1:
+        raise InvalidInputError(f"--rows must be at least 1, got {args.rows}")
     rng = np.random.default_rng(args.seed)
     if args.grid:
         xs = np.linspace(*TOY_INTERVAL, args.rows)

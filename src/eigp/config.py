@@ -5,13 +5,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .aggregation import ALL_METHODS, MethodSpec, TradeoffSpec
-from .errors import ConfigError
+from .aggregation import VARIANCE_FAMILIES, MethodSpec, TradeoffSpec
+from .errors import ConfigError, InvalidInputError
 from .graph import build_graph
 from .kernels import KernelConfig
-from .quality import RHO_KINDS, RhoPolicy
+from .quality import RhoPolicy
+from .sim import StreamSchedule
 
 SCENARIOS = ("toy", "stream")
+_INT_FIELDS = ("seed", "agents", "capacity", "train_points", "query_points", "steps", "window")
 
 _DEFAULT_KERNEL = {
     "signal_variance": 1.0,
@@ -59,28 +61,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.method not in ALL_METHODS:
-            raise ConfigError(f"method must be one of {ALL_METHODS}, got {self.method!r}")
-        if not 0.0 <= self.nu <= 1.0:
-            raise ConfigError("nu must lie in [0, 1]")
-        if self.theta < 0:
-            raise ConfigError("theta must be nonnegative")
-        if self.rho_policy not in RHO_KINDS:
-            raise ConfigError(f"rho_policy must be one of {RHO_KINDS}")
-        if self.agents < 1:
-            raise ConfigError("agents must be >= 1")
-        if self.capacity < 1:
-            raise ConfigError("capacity must be >= 1")
+        for name in _INT_FIELDS:
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.train_points < self.agents:
             raise ConfigError("train_points must cover every agent")
-        if self.query_points < 1 or self.steps < 1:
-            raise ConfigError("query_points and steps must be >= 1")
         if self.window < 2:
             raise ConfigError("window must be >= 2")
-        if self.schedule not in ("cyclic", "round-robin"):
-            raise ConfigError("schedule must be 'cyclic' or 'round-robin'")
+        for name in ("dataset", "out_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
+        if self.variance_family not in VARIANCE_FAMILIES:
+            raise ConfigError(f"variance_family must be one of {VARIANCE_FAMILIES}")
         self.kernel_config()  # validates kernel ranges
-        self.method_spec()  # validates method parameter ranges
+        try:  # the method's and the schedule's own rules
+            self.method_spec()
+            StreamSchedule(self.schedule, self.capacity)
+        except (InvalidInputError, TypeError) as exc:
+            raise ConfigError(str(exc)) from None
         build_graph(self.graph, self.agents)  # validates the edge list
         if self.scenario == "toy" and self.graph != "full":
             raise ConfigError("the toy experiment runs on the complete graph: set graph to 'full'")
@@ -130,24 +129,27 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(raw)
-        if data.get("bounds") is not None:
-            bounds_raw = data["bounds"]
-            if not isinstance(bounds_raw, dict):
-                raise ConfigError("bounds must be an object")
-            bad = set(bounds_raw) - set(BoundConfig.__dataclass_fields__)
-            if bad:
-                raise ConfigError(f"unknown bounds keys: {sorted(bad)}")
-            box = bounds_raw.get("box")
-            if box is not None:
-                box = tuple(tuple(float(v) for v in pair) for pair in box)
-            data["bounds"] = BoundConfig(
-                tau=float(bounds_raw.get("tau", 0.1)),
-                delta=float(bounds_raw.get("delta", 0.05)),
-                delta_n=float(bounds_raw.get("delta_n", 0.05)),
-                box=box,
-            )
-        if isinstance(data.get("graph"), list):
-            data["graph"] = tuple(tuple(int(v) for v in edge) for edge in data["graph"])
+        try:
+            if data.get("bounds") is not None:
+                bounds_raw = data["bounds"]
+                if not isinstance(bounds_raw, dict):
+                    raise ConfigError("bounds must be an object")
+                bad = set(bounds_raw) - set(BoundConfig.__dataclass_fields__)
+                if bad:
+                    raise ConfigError(f"unknown bounds keys: {sorted(bad)}")
+                box = bounds_raw.get("box")
+                if box is not None:
+                    box = tuple((float(lo), float(hi)) for lo, hi in box)
+                data["bounds"] = BoundConfig(
+                    tau=float(bounds_raw.get("tau", 0.1)),
+                    delta=float(bounds_raw.get("delta", 0.05)),
+                    delta_n=float(bounds_raw.get("delta_n", 0.05)),
+                    box=box,
+                )
+            if isinstance(data.get("graph"), list):
+                data["graph"] = tuple((int(a), int(b)) for a, b in data["graph"])
+        except (TypeError, ValueError) as exc:  # a ConfigError is a ValueError too
+            raise ConfigError(f"bad bounds or graph: {exc}") from None
         try:
             return cls(**data)
         except TypeError as exc:

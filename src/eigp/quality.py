@@ -12,6 +12,7 @@ evaluation across agents and queries is safe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class RhoPolicy:
     def __post_init__(self):
         if self.kind not in RHO_KINDS:
             raise InvalidInputError(f"unknown rho policy {self.kind!r}, expected one of {RHO_KINDS}")
-        if self.kind == "constant" and self.value is None:
-            raise InvalidInputError("constant rho policy needs a value")
+        if self.kind == "constant" and not isinstance(self.value, numbers.Real):
+            raise InvalidInputError(f"constant rho policy needs a number, got {self.value!r}")
         if self.kind != "constant" and self.value is not None:
             raise InvalidInputError(f"rho policy {self.kind!r} takes no value")
 
@@ -102,8 +103,10 @@ def score_and_approx_mean(
 
     With the weighted error sum num = sum_{p in I} kappa(x_p, x) e(x_p),
     epsilon = ||num|| / (lam * rho * (N - |I|)), with the infinity sentinel
-    when nothing is excluded, and the truncated mean is -num / noise. The
-    shared sum makes the evaluation cost one kernel vector. ``lam`` rescales
+    when nothing is excluded, and the truncated mean is -num / noise. num is
+    one product of the included error columns with the included kernel
+    values, whatever the size of I (an empty I gives zeros), and the shared
+    sum makes the evaluation cost one kernel vector. ``lam`` rescales
     every agent's score equally and changes no argmax or threshold decision,
     so selection scores at lam = 1 and the bounds divide by the certified
     lam. An empty model yields the infinity sentinel and the prior mean 0.
@@ -113,13 +116,8 @@ def score_and_approx_mean(
         idx = IndexSelection(np.zeros(0, dtype=int), 0.0, np.zeros(0))
         return QualityScore(math.inf, idx), np.zeros(model.cfg.output_dim)
     idx = select_indices(model, x, policy)
-    included, k = idx.included, idx.kernel_values
-    if included.size == 0:
-        num_vec = np.zeros(model.cfg.output_dim)
-    elif included.size == model.n:
-        num_vec = model.errors @ k
-    else:
-        num_vec = model.errors[:, included] @ k[included]
+    included = idx.included
+    num_vec = model.errors[:, included] @ idx.kernel_values[included]
     tilde_mu = num_vec * (-1.0 / model.cfg.noise_variance)
     n_excluded = model.n - included.size
     if n_excluded == 0:

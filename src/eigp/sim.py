@@ -1,10 +1,12 @@
 """Multi-agent experiment engine: schedules, prediction rounds, metrics.
 
-A simulation step has two phases: a prediction phase in which every agent
-issues a joint prediction against immutable model snapshots, and an ingest
-phase in which exactly one agent's model mutates. Determinism is guaranteed
-by seeding: reruns with the same config produce identical records apart
-from wall-clock timings.
+Both experiments run one loop (:func:`_run`). A step has two phases: a
+prediction phase in which every agent makes a joint prediction against
+immutable model snapshots, and, in the streaming experiment only, an ingest
+phase in which exactly one agent's model mutates. The offline toy is the
+same loop without a schedule. Determinism is guaranteed by seeding: reruns
+with the same config produce identical records apart from wall-clock
+timings.
 """
 
 from __future__ import annotations
@@ -237,28 +239,6 @@ def _round_bounds(
     return dict(zip(table.ids, hat.tolist()))
 
 
-def _record_step(
-    k, x, truth, preds, plans, elapsed, tracker, bounds, models, method
-) -> SimRecord:
-    truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    tracker.update(preds, truth)
-    sizes = {i: len(plans[i].selected) for i in plans}
-    hat = None
-    if bounds is not None and not method.is_baseline:
-        hat = _round_bounds(next(iter(plans.values())).evaluations, bounds, models)
-    return SimRecord(
-        iteration=k,
-        query=np.atleast_1d(np.asarray(x, dtype=float)),
-        truth=truth,
-        predictions=preds,
-        selected_sizes=sizes,
-        active_agents=sum(sizes.values()),
-        prediction_time=elapsed,
-        smse_cum=tracker.cumulative(),
-        hat_eta=hat,
-    )
-
-
 def toy_training_data(train_points: int, n_agents: int, rng: np.random.Generator):
     """Evenly spaced toy inputs with noisy outputs, split into contiguous blocks."""
     xs = np.linspace(*TOY_INTERVAL, train_points)
@@ -294,26 +274,7 @@ def run_offline_toy(
     graph = fully_connected(n_agents)
     queries = np.linspace(*TOY_INTERVAL, query_points)
     truths = toy_mean(queries)
-
-    tracker = _RunningSmse()
-    records = []
-    for k in range(query_points):
-        preds, plans, elapsed = predict_round(models, graph, [queries[k]], method, cfg)
-        records.append(
-            _record_step(
-                k, [queries[k]], [truths[k]], preds, plans, elapsed,
-                tracker, bounds, models, method,
-            )
-        )
-    return SimResult(
-        records=records,
-        method=method,
-        n_agents=n_agents,
-        window=window,
-        final_sizes={i: models[i].n for i in models},
-        variance_clamps=sum(m.variance_clamps for m in models.values()),
-        refactor_fallbacks=sum(m.refactor_fallbacks for m in models.values()),
-    )
+    return _run(models, graph, method, cfg, queries[:, None], truths[:, None], bounds, window)
 
 
 def run_online(
@@ -337,19 +298,39 @@ def run_online(
     if stream_X.shape[0] != stream_Y.shape[0]:
         raise InvalidInputError("stream inputs and outputs must align")
     models = {i: AgentModel(cfg) for i in graph.nodes}
-    deletions = {i: 0 for i in graph.nodes}
+    return _run(models, graph, method, cfg, stream_X, stream_Y, bounds, window, schedule)
+
+
+def _run(
+    models, graph: Graph, method: MethodSpec, cfg: KernelConfig, queries, truths,
+    bounds: BoundParams | None, window: int, schedule: StreamSchedule | None = None,
+) -> SimResult:
+    """The simulation loop shared by both experiments.
+
+    Each step predicts the round at query row k, adds it to the cumulative
+    SMSE and records sizes and bounds; with a ``schedule`` the scheduled
+    recipient then ingests (row k of ``queries``, row k of ``truths``).
+    ``predict_round``, ``ingest`` and the bound helpers are looked up as
+    module globals at call time, so a tracer that rebinds them sees every
+    call.
+    """
     tracker = _RunningSmse()
     records = []
-    for k in range(stream_X.shape[0]):
-        x, y = stream_X[k], stream_Y[k]
+    deletions = {i: 0 for i in graph.nodes}
+    for k, (x, y) in enumerate(zip(queries, truths)):
         preds, plans, elapsed = predict_round(models, graph, x, method, cfg)
+        tracker.update(preds, y)
+        sizes = {i: len(plans[i].selected) for i in plans}
+        hat = None
+        if bounds is not None and not method.is_baseline:
+            hat = _round_bounds(plans[1].evaluations, bounds, models)
         records.append(
-            _record_step(k, x, y, preds, plans, elapsed, tracker, bounds, models, method)
+            SimRecord(k, x, y, preds, sizes, sum(sizes.values()), elapsed, tracker.cumulative(), hat)
         )
-        recipient = schedule.recipient(k, graph.n)
-        report = ingest(models[recipient], x, y, schedule.capacity)
-        if report.deleted_index is not None:
-            deletions[recipient] += 1
+        if schedule is not None:
+            recipient = schedule.recipient(k, graph.n)
+            if ingest(models[recipient], x, y, schedule.capacity).deleted_index is not None:
+                deletions[recipient] += 1
     return SimResult(
         records=records,
         method=method,

@@ -488,18 +488,23 @@ def assert_round_matches_oracle(models, graph, x, method, cfg):
         except InvalidInputError:
             failed = True
     if failed:
+        # one failing requester fails the whole round, with or without a table
         with pytest.raises(InvalidInputError):
             predict_round(models, graph, x, method, cfg)
+        for i in graph.nodes:
+            with pytest.raises(InvalidInputError):
+                joint_predict(i, x, models, graph, method, cfg)
         return False
     preds, plans, _ = predict_round(models, graph, x, method, cfg)
     for i, (pred, selected, weights, degenerate) in expected.items():
-        plan = plans[i]
-        assert preds[i].tobytes() == pred.tobytes()  # bit for bit, sign of zero included
-        assert plan.selected == selected
-        assert plan.weights.keys() == weights.keys()
-        for s, w in weights.items():
-            assert plan.weights[s].tobytes() == w.tobytes()
-        assert plan.degenerate == degenerate
+        # the requester's row of the round, then a call without a table
+        for got, plan in ((preds[i], plans[i]), joint_predict(i, x, models, graph, method, cfg)):
+            assert got.tobytes() == pred.tobytes()  # bit for bit, sign of zero included
+            assert plan.selected == selected
+            assert plan.weights.keys() == weights.keys()
+            for s, w in weights.items():
+                assert plan.weights[s].tobytes() == w.tobytes()
+            assert plan.degenerate == degenerate
     return True
 
 

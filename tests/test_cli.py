@@ -256,3 +256,42 @@ def test_toy_config_rejects_a_graph_it_would_not_use(tmp_path, capsys):
     assert not (out / "summary.json").exists()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"bounds": {"tau": "x"}},
+        {"bounds": {"box": 5}},
+        {"scenario": "stream", "graph": [1, 2]},
+        {"scenario": "stream", "graph": [[1, "a"]]},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"window": 2.5},
+        {"query_points": 2.5},
+        {"scenario": "stream", "steps": 1.5},
+        {"scenario": "stream", "steps": 20, "capacity": 2.5},
+        {"variance_family": "bogus"},
+        {"rho_policy": "constant", "rho_value": "x"},
+        {"scenario": "stream", "dataset": 7},
+        {"out_dir": 5},
+    ],
+    ids=lambda overrides: json.dumps(overrides),
+)
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    for argv in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*argv, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize("rows", ["0", "-1"])
+def test_gen_toy_rejects_rows_below_one(tmp_path, capsys, rows):
+    out = tmp_path / "toy.csv"
+    assert main(["gen-toy", "--out", str(out), "--rows", rows]) == 1
+    assert capsys.readouterr().err.startswith("error: --rows must be at least 1")
+    assert not out.exists()

@@ -72,7 +72,7 @@ class MethodSpec:
             raise InvalidInputError(f"unknown method {self.name!r}, expected one of {ALL_METHODS}")
         if not 0.0 <= self.nu <= 1.0:
             raise InvalidInputError("nu must lie in [0, 1]")
-        if self.theta < 0:
+        if not self.theta >= 0:  # NaN too
             raise InvalidInputError("theta must be nonnegative")
 
     @property
@@ -511,10 +511,12 @@ def joint_predict(
     and combine their truncated means. The first call on a table weighs
     every graph node in one batched pass, later calls read their row.
     Without a table the call scores every graph node into a fresh table and
-    weighs it the same way, so it predicts what :func:`evaluate_round` and
-    a tabled call would. Baselines engage the whole neighborhood with classical
-    per-query expert predictions. If every neighborhood model is empty the
-    prior mean 0 is returned with a flagged plan.
+    weighs it the same way, so it predicts what a tabled call would, but at
+    the cost of a whole round: code that predicts for every requester calls
+    :func:`eigp.sim.predict_round`, which shares one table. Baselines engage
+    the whole neighborhood with classical per-query expert predictions. If
+    every neighborhood model is empty the prior mean 0 is returned with a
+    flagged plan.
     """
     neighborhood = graph.closed_neighborhood(requester)
     if method.is_baseline:

@@ -28,11 +28,11 @@ def beta_delta(tau: float, delta: float, lower, upper) -> float:
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     if lower.shape != upper.shape or lower.ndim != 1:
         raise InvalidInputError("lower and upper must be vectors of equal length")
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise InvalidInputError("tau must be positive")
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must lie in (0, 1)")
-    if np.any(upper < lower):
+    if not np.all(upper >= lower):  # NaN too
         raise InvalidInputError("upper bounds must not be below lower bounds")
     m = lower.size
     spans = math.sqrt(m) / (2.0 * tau) * (upper - lower) + 1.0
@@ -105,12 +105,15 @@ class BoundParams:
 
     @classmethod
     def for_kernel(cls, cfg: KernelConfig, tau, delta, delta_n, lower, upper) -> "BoundParams":
+        lower, upper = (tuple(float(v) for v in np.atleast_1d(end)) for end in (lower, upper))
+        if not len(lower) == len(upper) == cfg.input_dim:
+            raise InvalidInputError(f"the box needs {cfg.input_dim} entries, got {len(lower)}")
         return cls(
             tau=tau,
             delta=delta,
             delta_n=delta_n,
-            lower=tuple(float(v) for v in np.atleast_1d(lower)),
-            upper=tuple(float(v) for v in np.atleast_1d(upper)),
+            lower=lower,
+            upper=upper,
             kappa0=cfg.kappa0,
             noise_std=math.sqrt(cfg.noise_variance),
             output_dim=cfg.output_dim,

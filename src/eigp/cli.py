@@ -92,17 +92,10 @@ def _build_bounds(config: ExperimentConfig, dataset) -> BoundParams | None:
     if config.bounds is None:
         return None
     cfg = config.kernel_config()
-    if config.bounds.box is not None:
-        lower = [pair[0] for pair in config.bounds.box]
-        upper = [pair[1] for pair in config.bounds.box]
-    elif dataset is not None:
+    lower, upper = ([end] * cfg.input_dim for end in TOY_INTERVAL)
+    if dataset is not None:
         lower, upper = dataset.lower, dataset.upper
-    else:
-        lower = [TOY_INTERVAL[0]] * cfg.input_dim
-        upper = [TOY_INTERVAL[1]] * cfg.input_dim
-    return BoundParams.for_kernel(
-        cfg, config.bounds.tau, config.bounds.delta, config.bounds.delta_n, lower, upper
-    )
+    return config.bounds.params(cfg, lower, upper)
 
 
 def _execute(config: ExperimentConfig) -> tuple:

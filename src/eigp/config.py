@@ -6,6 +6,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .aggregation import VARIANCE_FAMILIES, MethodSpec, TradeoffSpec
+from .bounds import BoundParams
 from .errors import ConfigError, InvalidInputError
 from .graph import build_graph
 from .kernels import KernelConfig
@@ -30,6 +31,12 @@ class BoundConfig:
     delta: float = 0.05
     delta_n: float = 0.05
     box: tuple[tuple[float, float], ...] | None = None  # default: dataset min/max
+
+    def params(self, cfg: KernelConfig, lower, upper) -> BoundParams:
+        """The run's bound constants over the configured box, else over ``lower``/``upper``."""
+        if self.box is not None:
+            lower, upper = [pair[0] for pair in self.box], [pair[1] for pair in self.box]
+        return BoundParams.for_kernel(cfg, self.tau, self.delta, self.delta_n, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -74,10 +81,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if self.variance_family not in VARIANCE_FAMILIES:
             raise ConfigError(f"variance_family must be one of {VARIANCE_FAMILIES}")
-        self.kernel_config()  # validates kernel ranges
-        try:  # the method's and the schedule's own rules
+        cfg = self.kernel_config()  # validates kernel ranges
+        try:  # the method's, the schedule's and the bounds' own rules
             self.method_spec()
             StreamSchedule(self.schedule, self.capacity)
+            if self.bounds is not None:  # without a box, a zero-width one checks the rest
+                self.bounds.params(cfg, [0.0] * cfg.input_dim, [0.0] * cfg.input_dim)
         except (InvalidInputError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
         build_graph(self.graph, self.agents)  # validates the edge list
@@ -140,12 +149,8 @@ class ExperimentConfig:
                 box = bounds_raw.get("box")
                 if box is not None:
                     box = tuple((float(lo), float(hi)) for lo, hi in box)
-                data["bounds"] = BoundConfig(
-                    tau=float(bounds_raw.get("tau", 0.1)),
-                    delta=float(bounds_raw.get("delta", 0.05)),
-                    delta_n=float(bounds_raw.get("delta_n", 0.05)),
-                    box=box,
-                )
+                values = {k: float(v) for k, v in bounds_raw.items() if k != "box"}
+                data["bounds"] = BoundConfig(**values, box=box)
             if isinstance(data.get("graph"), list):
                 data["graph"] = tuple((int(a), int(b)) for a, b in data["graph"])
         except (TypeError, ValueError) as exc:  # a ConfigError is a ValueError too

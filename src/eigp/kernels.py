@@ -27,9 +27,10 @@ class KernelConfig:
     output_dim: int = 1
 
     def __post_init__(self):
-        if not (self.signal_variance > 0 and self.lengthscale > 0 and self.noise_variance > 0):
+        hyper = (self.signal_variance, self.lengthscale, self.noise_variance)
+        if not all(0 < v < math.inf for v in hyper):
             raise InvalidInputError(
-                "signal_variance, lengthscale and noise_variance must all be positive"
+                "signal_variance, lengthscale and noise_variance must all be positive and finite"
             )
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidInputError("input_dim and output_dim must be >= 1")
@@ -75,9 +76,9 @@ def kernel_vec(cfg: KernelConfig, X: np.ndarray, x) -> np.ndarray:
 def gram(cfg: KernelConfig, X: np.ndarray) -> np.ndarray:
     """Full Gram matrix of the rows of ``X``.
 
-    Built row by row through :func:`kernel_vec` so that incremental appends
-    reproduce it entry-for-entry exactly; Fortran-ordered, the layout of the
-    model's Gram buffer.
+    Built row by row through :func:`kernel_vec`, so every entry equals the
+    kernel value an append computes for it; Fortran-ordered, the layout of
+    the model's Cholesky factor.
     """
     n = X.shape[0]
     K = np.empty((n, n), order="F")

@@ -38,8 +38,8 @@ def find_deletion(model: AgentModel, x_incoming) -> int:
 def delete_and_reallocate(model: AgentModel, index: int) -> AgentModel:
     """Remove one point in O(N^2), without recomputing any kernel value.
 
-    X, Y, the Gram matrix and the Cholesky factor drop row and column
-    ``index`` in the model's own buffers; the factor's trailing block is
+    X and Y drop row ``index`` and the Cholesky factor row and column
+    ``index``, in the model's own buffers; the factor's trailing block is
     restored by a rank-1 update, never refactored. Alpha and the errors go
     stale until the next append solves them or a read of them re-solves.
     """

@@ -1,9 +1,9 @@
 """Single-agent Gaussian-process model with incrementally maintained caches.
 
-The model keeps, next to the raw data, everything needed for O(N) mean
+The model offers, next to the raw data, everything needed for O(N) mean
 prediction and for the error-informed machinery built on top:
 
-    K       (N, N)  Gram matrix of the stored inputs
+    K       (N, N)  Gram matrix of the stored inputs, recomputed on each read
     chol    (N, N)  lower Cholesky factor of K + noise_variance * I
     alpha   (N, d)  solutions of (K + noise_variance * I) alpha = Y
     errors  (d, N)  per-point prediction errors, errors[j] = -noise * alpha[:, j]
@@ -13,23 +13,24 @@ kappa(0) - ||L^-1 k||^2 clamped at zero; ``posterior_mean``,
 ``posterior_var`` and the baselines' ``classical_predict`` all read them,
 the last from a single kernel vector.
 
-X, Y, K and the factor fill the leading N rows (and columns) of buffers that
-a deletion does not shrink. A deletion shifts the surviving blocks up and
-left in place and restores the trailing factor block with a rank-1 update,
-one Givens rotation per column (O(N^2), not an O(N^3) refactorization; Gill,
-Golub, Murray & Saunders, *Methods for modifying matrix factorizations*,
-1974). An append borders the factor with one row in the slot a deletion
-left, or in buffers grown by one, and solves for alpha: an ingest at capacity
-allocates no N x N array and solves once. After a bare deletion, reading
-``chol``, ``alpha`` or ``errors`` trims the buffers to N and re-solves. The
-factor is refactored only when an append is ill-conditioned
-(``refactor_fallbacks`` counts those). It is Fortran-ordered, as
-``scipy.linalg.cholesky`` returns it, so LAPACK reads it without a copy.
+X, Y and the factor, the only N x N array kept, fill the leading N rows (and
+columns) of buffers that a deletion does not shrink. A deletion shifts the
+surviving blocks up and left in place and restores the trailing factor block
+with a rank-1 update, one Givens rotation per column (O(N^2), not an O(N^3)
+refactorization; Gill, Golub, Murray & Saunders, *Methods for modifying
+matrix factorizations*, 1974). An append borders the factor with one row in
+the slot a deletion left, or in buffers grown by one, and solves for alpha:
+an ingest at capacity allocates no N x N array and solves once. After a bare
+deletion, reading ``chol``, ``alpha`` or ``errors`` trims the buffers to N
+and re-solves. The factor is refactored only when an append is
+ill-conditioned (``refactor_fallbacks`` counts those). It is
+Fortran-ordered, as ``scipy.linalg.cholesky`` returns it, so LAPACK reads it
+without a copy.
 
 Mutating operations (append, the deletion helpers in :mod:`eigp.memory`)
 require exclusive access; predictions only read. The simulator enforces that
-phase discipline, the class itself holds no locks. ``X``, ``Y``, ``K`` and
-``chol`` are views of the buffers, which later mutations overwrite.
+phase discipline, the class itself holds no locks. ``X``, ``Y`` and ``chol``
+are views of the buffers, which later mutations overwrite.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _REFACTOR_FLOOR = 1e-12
 
 
 class AgentModel:
-    """Dataset, Gram caches and prediction-error vectors for one agent."""
+    """Dataset, Cholesky factor and prediction-error vectors for one agent."""
 
     def __init__(self, cfg: KernelConfig):
         self.cfg = cfg
@@ -57,7 +58,6 @@ class AgentModel:
         self.n = 0
         self._X = np.zeros((0, m))
         self._Y = np.zeros((0, d))
-        self._K = np.zeros((0, 0), order="F")
         self._L = np.zeros((0, 0), order="F")
         self._alpha = np.zeros((0, d))  # None while a deletion is unsettled
         self._errors = np.zeros((d, 0))
@@ -77,7 +77,6 @@ class AgentModel:
             raise InvalidInputError("training data must be finite")
         model.n = X.shape[0]
         model._X, model._Y = X, Y
-        model._K = gram(cfg, X)
         model._factor()
         model._resolve()
         return model
@@ -95,7 +94,8 @@ class AgentModel:
 
     @property
     def K(self) -> np.ndarray:
-        return self._K[: self.n, : self.n]
+        """Gram matrix of the stored inputs: a fresh array for diagnostics, not a view."""
+        return gram(self.cfg, self.X)
 
     @property
     def chol(self) -> np.ndarray:
@@ -126,14 +126,15 @@ class AgentModel:
         """Move the data into fresh buffers with ``size`` >= n slots."""
         n, m, d = self.n, self.cfg.input_dim, self.cfg.output_dim
         X, Y = np.zeros((size, m)), np.zeros((size, d))
-        K, L = np.zeros((size, size), order="F"), np.zeros((size, size), order="F")
-        X[:n], Y[:n], K[:n, :n], L[:n, :n] = self.X, self.Y, self.K, self._L[:n, :n]
-        self._X, self._Y, self._K, self._L = X, Y, K, L
+        L = np.zeros((size, size), order="F")
+        X[:n], Y[:n], L[:n, :n] = self.X, self.Y, self._L[:n, :n]
+        self._X, self._Y, self._L = X, Y, L
 
     def _factor(self) -> None:
-        """Factor K + noise_variance * I anew (Fortran-ordered)."""
-        reg = self.K + self.cfg.noise_variance * np.eye(self.n, order="F")  # K's layout
-        self._L = cholesky(reg, lower=True)
+        """Factor a recomputed K + noise_variance * I in its own (Fortran-ordered) memory."""
+        reg = gram(self.cfg, self.X)
+        reg.flat[:: self.n + 1] += self.cfg.noise_variance
+        self._L = cholesky(reg, lower=True, overwrite_a=True)
 
     def _resolve(self, z: np.ndarray | None = None) -> None:
         """Solve alpha (only backward when given ``z = L^-1 Y``), then the errors.
@@ -148,7 +149,7 @@ class AgentModel:
         self._errors = np.ascontiguousarray((-self.cfg.noise_variance * self._alpha).T)
 
     def append_point(self, x, y) -> "AgentModel":
-        """Add one (x, y) pair, extending the Gram matrix by a bordered row.
+        """Add one (x, y) pair, extending the factor by a bordered row.
 
         Capacity is not checked here; bounded-memory ingestion lives in
         :mod:`eigp.memory`. Alpha and the errors are solved afresh.
@@ -167,9 +168,7 @@ class AgentModel:
         if self._L.shape[0] != n + 1:  # no single spare slot: grow, or trim deletions
             self._resize(n + 1)
         self._X[n], self._Y[n] = x, y
-        K, L = self._K, self._L
-        K[n, :n] = K[:n, n] = k_new
-        K[n, n] = self.cfg.signal_variance
+        L = self._L
         # Solve on the whole contiguous buffer (LAPACK would copy an [:n, :n]
         # view): with a unit diagonal in the spare row it is nonsingular, and
         # its first n rows solve as L alone. One forward solve against [k Y]
@@ -185,7 +184,7 @@ class AgentModel:
             L[n, n] = np.sqrt(s2)
             z[n] = (y - v @ z[:n]) / L[n, n]
             self._resolve(z)
-        else:  # ill-conditioned extension; rebuild from the Gram matrix
+        else:  # ill-conditioned extension; refactor from a recomputed Gram matrix
             self.refactor_fallbacks += 1
             self._factor()
             self._resolve()
@@ -198,12 +197,10 @@ class AgentModel:
         range of ``index`` is checked by the caller.
         """
         n, k = self.n - 1, index  # n: size after the deletion
-        K, L = self._K, self._L
+        L = self._L
         x = L[k + 1 : n + 1, k].copy()
         for A in (self._X, self._Y):
             A[k:n] = A[k + 1 : n + 1]
-        _shift_out(K, n, k)
-        K[:k, k:n] = K[k:n, :k].T
         _shift_out(L, n, k)
         # The trailing block must now factor L33 L33^T + x x^T, a positive
         # semi-definite gain, so no rotation can break down. Rotation i writes
@@ -274,13 +271,9 @@ class AgentModel:
 
     def validate_cache(self, rtol: float = 1e-9) -> None:
         """Raise if any cached quantity disagrees with a recomputation."""
-        K_ref = gram(self.cfg, self.X)
-        if not np.array_equal(self.K, K_ref):
-            raise InternalConsistencyError("cached Gram matrix differs from recomputation")
         if self.n == 0:
             return
-        reg = self.K + self.cfg.noise_variance * np.eye(self.n)
-        resid = np.linalg.norm(reg @ self.alpha - self.Y)
+        resid = np.linalg.norm(self.K @ self.alpha + self.cfg.noise_variance * self.alpha - self.Y)
         scale = max(np.linalg.norm(self.Y), 1.0)
         if resid > rtol * scale:
             raise InternalConsistencyError(f"alpha residual {resid:.3e} exceeds tolerance")
@@ -294,7 +287,7 @@ def _shift_out(A: np.ndarray, n: int, k: int) -> None:
     """Drop row and column ``k`` of the leading (n + 1) block of F-ordered ``A``.
 
     Rows above ``k`` of the later columns get entries from above the old
-    diagonal: zeros for a lower-triangular factor; a full matrix rebuilds them.
+    diagonal, which are zeros in a lower-triangular factor.
     """
     A[k:n, :k] = A[k + 1 : n + 1, :k]
     if k < n:

@@ -34,8 +34,9 @@ class RhoPolicy:
     def __post_init__(self):
         if self.kind not in RHO_KINDS:
             raise InvalidInputError(f"unknown rho policy {self.kind!r}, expected one of {RHO_KINDS}")
-        if self.kind == "constant" and not isinstance(self.value, numbers.Real):
-            raise InvalidInputError(f"constant rho policy needs a number, got {self.value!r}")
+        finite = isinstance(self.value, numbers.Real) and math.isfinite(self.value)
+        if self.kind == "constant" and not finite:
+            raise InvalidInputError(f"constant rho policy needs a finite value, got {self.value!r}")
         if self.kind != "constant" and self.value is not None:
             raise InvalidInputError(f"rho policy {self.kind!r} takes no value")
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 
 import numpy as np
@@ -295,3 +296,39 @@ def test_gen_toy_rejects_rows_below_one(tmp_path, capsys, rows):
     assert main(["gen-toy", "--out", str(out), "--rows", rows]) == 1
     assert capsys.readouterr().err.startswith("error: --rows must be at least 1")
     assert not out.exists()
+
+
+def test_run_rejects_an_infinite_kernel_hyperparameter(tmp_path, capsys):
+    path = write_config(tmp_path, kernel={"signal_variance": math.inf})
+    assert "Infinity" in path.read_text()
+    for argv in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*argv, "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "finite" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"tau": -1}, "tau must be positive"),
+        ({"delta": 2}, "delta must lie in (0, 1)"),
+        ({"delta_n": 0}, "delta_n must lie in (0, 1)"),
+        ({"box": [[1.0, -1.0]]}, "must not be below lower"),
+        ({"box": [[-1.0, 1.0], [0.0, 1.0]]}, "needs 1 entries, got 2"),
+        ({"tau": math.nan}, "tau must be positive"),
+        ({"box": [[math.nan, 1.0]]}, "must not be below lower"),
+    ],
+    ids=["tau", "delta", "delta_n", "inverted box", "box length", "NaN tau", "NaN box"],
+)
+def test_validate_config_checks_bound_settings(tmp_path, capsys, bounds, message):
+    # a bound setting the run cannot use fails validation, not only the run
+    path = write_config(tmp_path, method="aEIGP", bounds=bounds)
+    assert main(["validate-config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert not (out / "summary.json").exists()
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(path)

@@ -1,11 +1,14 @@
 """Experiment-config validation and round-tripping."""
 
 import json
+import math
 
 import pytest
 
-from eigp import ConfigError, ExperimentConfig
+from eigp import ConfigError, ExperimentConfig, InvalidInputError
+from eigp.aggregation import MethodSpec
 from eigp.config import BoundConfig
+from eigp.quality import RhoPolicy
 
 
 def test_defaults_are_valid():
@@ -75,3 +78,25 @@ def test_from_json_reports_bad_files(tmp_path):
         ExperimentConfig.from_json(path)
     path.write_text(json.dumps({"scenario": "toy"}))
     assert ExperimentConfig.from_json(path).scenario == "toy"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"theta": math.nan},
+        {"rho_policy": "constant", "rho_value": math.nan},
+        {"rho_policy": "constant", "rho_value": math.inf},
+    ],
+    ids=lambda overrides: json.dumps(overrides),
+)
+def test_nan_theta_and_non_finite_rho_are_rejected_when_parsed(overrides):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(overrides)
+
+
+def test_method_spec_and_rho_policy_reject_nan_directly():
+    with pytest.raises(InvalidInputError, match="theta"):
+        MethodSpec("aEIGP", theta=math.nan)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match="finite"):
+            RhoPolicy("constant", value)

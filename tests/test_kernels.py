@@ -84,3 +84,10 @@ def test_lipschitz_continuity_on_sampled_triples():
         x, a, b = rng.normal(size=(3, 2))
         lhs = abs(kernel_eval(cfg, x, a) - kernel_eval(cfg, x, b))
         assert lhs <= L * np.linalg.norm(a - b) + 1e-15
+
+
+@pytest.mark.parametrize("name", ["signal_variance", "lengthscale", "noise_variance"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_hyperparameters_are_rejected(name, value):
+    with pytest.raises(InvalidInputError, match="finite"):
+        KernelConfig(**{name: value})

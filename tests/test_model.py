@@ -5,6 +5,7 @@ import pytest
 
 from eigp import AgentModel, InvalidInputError, KernelConfig, kernel_eval
 from eigp import model as model_module
+from eigp.memory import ingest
 from eigp.quality import RhoPolicy, select_indices
 from oracles import approx_mean, posterior_mean_via_errors
 
@@ -259,3 +260,22 @@ def test_refactor_fallback_is_counted():
         assert model.refactor_fallbacks == expected
         model.validate_cache()
     assert model.posterior_mean([0.0]) == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("at_capacity", [False, True])
+def test_refactor_fallback_equals_a_fresh_model(at_capacity):
+    # noise 1e-13 and a duplicate input force the refactor, in grown buffers or
+    # in the slot a deletion left; the rebuilt factor is the batch one, bit for bit
+    cfg = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1e-13)
+    model = AgentModel.from_data(cfg, [[0.0], [2.0], [-1.5]], [1.0, 0.5, -0.2])
+    if at_capacity:
+        ingest(model, [0.0], [1.0], capacity=3)  # deletes x = 2.0
+    else:
+        model.append_point([0.0], [1.0])
+    assert model.refactor_fallbacks == 1
+    fresh = AgentModel.from_data(cfg, model.X, model.Y)
+    assert np.array_equal(model.chol, fresh.chol)
+    assert np.array_equal(model.alpha, fresh.alpha)
+    for x in (-0.5, 0.0, 0.7, 2.0, 3.1):
+        assert model.posterior_mean([x]) == fresh.posterior_mean([x])
+        assert model.posterior_var([x]) == fresh.posterior_var([x])

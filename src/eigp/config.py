@@ -82,8 +82,10 @@ class ExperimentConfig:
         if self.variance_family not in VARIANCE_FAMILIES:
             raise ConfigError(f"variance_family must be one of {VARIANCE_FAMILIES}")
         cfg = self.kernel_config()  # validates kernel ranges
-        try:  # the method's, the schedule's and the bounds' own rules
-            self.method_spec()
+        try:  # the method's, the rho policy's, the schedule's and the bounds' own rules
+            rho_policy = self.method_spec().rho_policy
+            if rho_policy.kind == "constant":
+                rho_policy.constant_rho(cfg.kappa0)
             StreamSchedule(self.schedule, self.capacity)
             if self.bounds is not None:  # without a box, a zero-width one checks the rest
                 self.bounds.params(cfg, [0.0] * cfg.input_dim, [0.0] * cfg.input_dim)

@@ -47,12 +47,19 @@ class KernelConfig:
 
 
 def as_input(cfg: KernelConfig, x) -> np.ndarray:
-    """Coerce ``x`` to a float vector of the configured input dimension."""
+    """Coerce ``x`` to a finite float vector of the configured input dimension.
+
+    Every query and every stored input passes through here, which keeps the
+    kernel values, and so the models' factors, finite.
+    """
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (cfg.input_dim,):
         raise InvalidInputError(
             f"expected input of length {cfg.input_dim}, got shape {v.shape}"
         )
+    # a handful of numbers: a Python loop is several times faster than a ufunc here
+    if not all(map(math.isfinite, v.tolist())):
+        raise InvalidInputError(f"input must be finite, got {v.tolist()}")
     return v
 
 

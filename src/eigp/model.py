@@ -27,6 +27,25 @@ ill-conditioned (``refactor_fallbacks`` counts those). It is
 Fortran-ordered, as ``scipy.linalg.cholesky`` returns it, so LAPACK reads it
 without a copy.
 
+The factor is finite by construction, so its solves skip scipy's
+``check_finite`` scan (a full pass over the N x N buffer per solve); only
+``cholesky`` of a freshly computed Gram matrix keeps it. The argument, and
+the O(N) checks that guard it:
+
+- X and Y are finite: :func:`eigp.kernels.as_input` rejects a non-finite
+  input, and ``from_data`` and ``append_point`` a non-finite target. The
+  kernel values of finite inputs are finite.
+- Every diagonal entry of the factor is positive: it is at least
+  sqrt(noise_variance), being the root of a Schur complement of
+  K + noise_variance * I. So each Givens rotation of a deletion divides by
+  r >= L_jj > 0.
+- An append writes one row: ``v`` and sqrt(s2). A non-finite ``v`` makes
+  ``s2 > floor`` false, so it takes the refactor path like an
+  ill-conditioned append.
+- Alpha is checked after each solve (O(N d)): targets near the float range
+  can overflow it, and the append that did so is undone and raises
+  :class:`~eigp.errors.InvalidInputError`.
+
 Mutating operations (append, the deletion helpers in :mod:`eigp.memory`)
 require exclusive access; predictions only read. The simulator enforces that
 phase discipline, the class itself holds no locks. ``X``, ``Y`` and ``chol``
@@ -141,12 +160,17 @@ class AgentModel:
 
         errors[j] = -noise_variance * alpha[:, j] equals the posterior-mean
         residual at every stored input, read off the solve instead of recomputed.
+        Raises, leaving the caches as they were, if alpha overflows; the
+        errors are residuals, no larger than the targets.
         """
         if z is None:
-            self._alpha = cho_solve((self._L, True), self.Y)
+            alpha = cho_solve((self._L, True), self.Y, check_finite=False)
         else:
-            self._alpha = solve_triangular(self._L, z, lower=True, trans="T")
-        self._errors = np.ascontiguousarray((-self.cfg.noise_variance * self._alpha).T)
+            alpha = solve_triangular(self._L, z, lower=True, trans="T", check_finite=False)
+        if not np.isfinite(alpha).all():
+            raise InvalidInputError("targets too large: the posterior weights alpha overflow")
+        self._alpha = alpha
+        self._errors = np.ascontiguousarray((-self.cfg.noise_variance * alpha).T)
 
     def append_point(self, x, y) -> "AgentModel":
         """Add one (x, y) pair, extending the factor by a bordered row.
@@ -160,7 +184,7 @@ class AgentModel:
             raise InvalidInputError(
                 f"expected output of length {self.cfg.output_dim}, got shape {y.shape}"
             )
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        if not np.isfinite(y).all():  # as_input has checked x
             raise InvalidInputError("training data must be finite")
 
         k_new = kernel_vec(self.cfg, self.X, x)
@@ -174,20 +198,31 @@ class AgentModel:
         # its first n rows solve as L alone. One forward solve against [k Y]
         # yields v = L^-1 k and z = L^-1 Y, half of alpha's; row n is redone.
         L[n, n] = 1.0
-        vz = solve_triangular(L, np.column_stack([np.append(k_new, 0.0), self._Y]), lower=True)
+        rhs = np.column_stack([np.append(k_new, 0.0), self._Y])
+        vz = solve_triangular(L, rhs, lower=True, check_finite=False)
         v, z = vz[:n, 0], vz[:, 1:]
         diag = self.cfg.signal_variance + self.cfg.noise_variance
         s2 = diag - float(v @ v)
         self.n = n + 1
-        if s2 > _REFACTOR_FLOOR * diag:
-            L[n, :n] = v
-            L[n, n] = np.sqrt(s2)
-            z[n] = (y - v @ z[:n]) / L[n, n]
-            self._resolve(z)
-        else:  # ill-conditioned extension; refactor from a recomputed Gram matrix
-            self.refactor_fallbacks += 1
-            self._factor()
-            self._resolve()
+        try:
+            # False for a NaN s2 too: a non-finite v never enters the factor
+            if s2 > _REFACTOR_FLOOR * diag:
+                L[n, :n] = v
+                L[n, n] = np.sqrt(s2)
+                # an overflow here reaches alpha, where _resolve reports it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    z[n] = (y - v @ z[:n]) / L[n, n]
+                self._resolve(z)
+            else:  # ill-conditioned extension; refactor from a recomputed Gram matrix
+                self.refactor_fallbacks += 1
+                self._factor()
+                self._resolve()
+        except InvalidInputError:  # alpha overflowed: drop the point again
+            # The leading n x n block is the old points' factor on either
+            # path; the next read trims to it and re-solves.
+            self.n = n
+            self._alpha = self._errors = None
+            raise
         return self
 
     def _delete(self, index: int) -> None:
@@ -226,6 +261,7 @@ class AgentModel:
         two agree bit for bit. An empty model returns the prior mean 0.
         """
         if self.n == 0:
+            as_input(self.cfg, x)  # the prior answers a valid query only
             return 0.0
         k = kernel_vec(self.cfg, self.X, x)
         return float((k @ self.alpha)[j])
@@ -236,6 +272,7 @@ class AgentModel:
         An empty model returns the prior variance kappa(0).
         """
         if self.n == 0:
+            as_input(self.cfg, x)
             return self.cfg.kappa0
         return self._variance(kernel_vec(self.cfg, self.X, x))
 
@@ -248,6 +285,7 @@ class AgentModel:
         vectors.
         """
         if self.n == 0:
+            as_input(self.cfg, x)
             return np.zeros(self.cfg.output_dim), self.cfg.kappa0
         k = kernel_vec(self.cfg, self.X, x)
         return k @ self.alpha, self._variance(k)
@@ -258,7 +296,7 @@ class AgentModel:
         Clamped at zero from below when cancellation produces a tiny
         negative; ``variance_clamps`` counts each clamp.
         """
-        v = solve_triangular(self.chol, k, lower=True)
+        v = solve_triangular(self.chol, k, lower=True, check_finite=False)
         var = self.cfg.kappa0 - float(v @ v)
         if var < 0.0:
             self.variance_clamps += 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import kernel_vec
+from .kernels import as_input, kernel_vec
 from .model import AgentModel
 
 RHO_KINDS = ("constant", "mean", "median", "min")
@@ -39,6 +39,13 @@ class RhoPolicy:
             raise InvalidInputError(f"constant rho policy needs a finite value, got {self.value!r}")
         if self.kind != "constant" and self.value is not None:
             raise InvalidInputError(f"rho policy {self.kind!r} takes no value")
+
+    def constant_rho(self, kappa0: float) -> float:
+        """The constant threshold, which must lie in [0, kappa0]."""
+        rho = float(self.value)
+        if not 0.0 <= rho <= kappa0:
+            raise InvalidInputError(f"constant rho {rho} outside [0, {kappa0}]")
+        return rho
 
 
 @dataclass
@@ -83,11 +90,7 @@ def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
         raise InvalidInputError("select_indices needs a non-empty model")
     k = kernel_vec(model.cfg, model.X, x)
     if policy.kind == "constant":
-        rho = float(policy.value)
-        if not 0.0 <= rho <= model.cfg.kappa0:
-            raise InvalidInputError(
-                f"constant rho {rho} outside [0, {model.cfg.kappa0}]"
-            )
+        rho = policy.constant_rho(model.cfg.kappa0)
     elif policy.kind == "mean":
         rho = float(np.mean(k))
     elif policy.kind == "median":
@@ -112,7 +115,7 @@ def score_and_approx_mean(
     so selection scores at lam = 1 and the bounds divide by the certified
     lam. An empty model yields the infinity sentinel and the prior mean 0.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_input(model.cfg, x)
     if model.n == 0:
         idx = IndexSelection(np.zeros(0, dtype=int), 0.0, np.zeros(0))
         return QualityScore(math.inf, idx), np.zeros(model.cfg.output_dim)

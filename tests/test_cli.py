@@ -332,3 +332,17 @@ def test_validate_config_checks_bound_settings(tmp_path, capsys, bounds, message
     assert not (out / "summary.json").exists()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize("rho_value", [-1, 5, -1e-9])
+def test_validate_config_checks_the_constant_rho_range(tmp_path, capsys, rho_value):
+    path = write_config(tmp_path, rho_policy="constant", rho_value=rho_value)
+    assert main(["validate-config", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "outside [0, 1.0]" in lines[0]
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(path)
+    for edge in (0.0, 1.0):  # both ends of [0, kappa0] are valid thresholds
+        edge_path = write_config(tmp_path, name="edge.json", rho_policy="constant", rho_value=edge)
+        assert main(["validate-config", "--config", str(edge_path)]) == 0

@@ -76,7 +76,7 @@ def kernel_vec(cfg: KernelConfig, X: np.ndarray, x) -> np.ndarray:
     q = as_input(cfg, x)
     if X.size == 0:
         return np.zeros(0)
-    d2 = np.sum((X - q) ** 2, axis=1)
+    d2 = np.add.reduce((X - q) ** 2, axis=1)
     return cfg.signal_variance * np.exp(-d2 / (2.0 * cfg.lengthscale**2))
 
 

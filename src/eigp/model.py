@@ -27,10 +27,15 @@ ill-conditioned (``refactor_fallbacks`` counts those). It is
 Fortran-ordered, as ``scipy.linalg.cholesky`` returns it, so LAPACK reads it
 without a copy.
 
-The factor is finite by construction, so its solves skip scipy's
-``check_finite`` scan (a full pass over the N x N buffer per solve); only
-``cholesky`` of a freshly computed Gram matrix keeps it. The argument, and
-the O(N) checks that guard it:
+The factor is finite by construction, so its solves call LAPACK's
+``trtrs`` and ``potrs`` (``scipy.linalg.lapack``) directly: no per-call
+wrapper re-validating the arguments and no finiteness scan (a full pass over
+the N x N buffer per solve); only ``cholesky`` of a freshly computed Gram
+matrix keeps scipy's check. A nonzero ``info``, which a zero on the diagonal
+gives and the argument below rules out, raises
+:class:`~eigp.errors.InternalConsistencyError`. An empty model needs no
+solve: its alpha is the empty (0, d) array, which the bindings would reject.
+The argument, and the O(N) checks that guard it:
 
 - X and Y are finite: :func:`eigp.kernels.as_input` rejects a non-finite
   input, and ``from_data`` and ``append_point`` a non-finite target. The
@@ -57,8 +62,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky
 from scipy.linalg.blas import drot
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .kernels import KernelConfig, as_input, gram, kernel_vec
@@ -163,10 +169,12 @@ class AgentModel:
         Raises, leaving the caches as they were, if alpha overflows; the
         errors are residuals, no larger than the targets.
         """
-        if z is None:
-            alpha = cho_solve((self._L, True), self.Y, check_finite=False)
+        if self.n == 0:  # the LAPACK bindings reject 0-size arrays
+            alpha = np.zeros((0, self.cfg.output_dim))
+        elif z is None:
+            alpha = _solve(dpotrs, self._L, self.Y)
         else:
-            alpha = solve_triangular(self._L, z, lower=True, trans="T", check_finite=False)
+            alpha = _solve(dtrtrs, self._L, z, trans=1)
         if not np.isfinite(alpha).all():
             raise InvalidInputError("targets too large: the posterior weights alpha overflow")
         self._alpha = alpha
@@ -199,7 +207,7 @@ class AgentModel:
         # yields v = L^-1 k and z = L^-1 Y, half of alpha's; row n is redone.
         L[n, n] = 1.0
         rhs = np.column_stack([np.append(k_new, 0.0), self._Y])
-        vz = solve_triangular(L, rhs, lower=True, check_finite=False)
+        vz = _solve(dtrtrs, L, rhs)
         v, z = vz[:n, 0], vz[:, 1:]
         diag = self.cfg.signal_variance + self.cfg.noise_variance
         s2 = diag - float(v @ v)
@@ -296,7 +304,7 @@ class AgentModel:
         Clamped at zero from below when cancellation produces a tiny
         negative; ``variance_clamps`` counts each clamp.
         """
-        v = solve_triangular(self.chol, k, lower=True, check_finite=False)
+        v = _solve(dtrtrs, self.chol, k)
         var = self.cfg.kappa0 - float(v @ v)
         if var < 0.0:
             self.variance_clamps += 1
@@ -311,14 +319,29 @@ class AgentModel:
         """Raise if any cached quantity disagrees with a recomputation."""
         if self.n == 0:
             return
-        resid = np.linalg.norm(self.K @ self.alpha + self.cfg.noise_variance * self.alpha - self.Y)
-        scale = max(np.linalg.norm(self.Y), 1.0)
-        if resid > rtol * scale:
+        # Scaled by the largest target (at least 1) before the norms, which
+        # square their entries and overflow for targets above about 1e154.
+        top = max(float(np.abs(self.Y).max()), 1.0)
+        resid = self.K @ self.alpha + self.cfg.noise_variance * self.alpha - self.Y
+        resid = np.linalg.norm(resid / top)
+        if resid > rtol * max(np.linalg.norm(self.Y / top), 1.0):
             raise InternalConsistencyError(f"alpha residual {resid:.3e} exceeds tolerance")
         if not np.allclose(
             self.errors, (-self.cfg.noise_variance * self.alpha).T, rtol=0, atol=1e-12
         ):
             raise InternalConsistencyError("error cache out of sync with alpha")
+
+
+def _solve(routine, L: np.ndarray, b: np.ndarray, **kwargs) -> np.ndarray:
+    """LAPACK ``routine`` (``dtrtrs`` or ``dpotrs``) with the lower factor ``L``.
+
+    ``L`` is Fortran-ordered, so the binding reads it in place; it copies
+    ``b`` and returns the solution in the shape of ``b``.
+    """
+    x, info = routine(L, b, lower=1, **kwargs)
+    if info != 0:
+        raise InternalConsistencyError(f"LAPACK solve against the factor failed (info {info})")
+    return x
 
 
 def _shift_out(A: np.ndarray, n: int, k: int) -> None:

@@ -92,7 +92,7 @@ def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
     if policy.kind == "constant":
         rho = policy.constant_rho(model.cfg.kappa0)
     elif policy.kind == "mean":
-        rho = float(np.mean(k))
+        rho = float(np.add.reduce(k) / k.size)
     elif policy.kind == "median":
         rho = float(np.median(k))
     else:  # min
@@ -129,5 +129,5 @@ def score_and_approx_mean(
     else:
         if lam <= 0:
             raise InvalidInputError("lam must be positive")
-        eps = float(np.linalg.norm(num_vec)) / (lam * idx.rho * n_excluded)
+        eps = math.sqrt(float(num_vec @ num_vec)) / (lam * idx.rho * n_excluded)
     return QualityScore(eps, idx), tilde_mu

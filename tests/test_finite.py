@@ -1,5 +1,7 @@
 """The factor is finite by construction: the checks that replace scipy's scans."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg._decomp_cholesky as scipy_cholesky
@@ -9,6 +11,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from eigp import (
     AgentModel,
+    InternalConsistencyError,
     InvalidInputError,
     KernelConfig,
     MethodSpec,
@@ -140,6 +143,17 @@ def test_overflowing_batch_raises():
         AgentModel.from_data(CFG, [[0.0], [0.01]], [1e308, -1e308])
 
 
+def test_validate_cache_catches_a_wrong_alpha_near_the_float_range():
+    model = AgentModel.from_data(KernelConfig(), [[0.0]], [1e308])
+    model.validate_cache()
+    model.alpha[:] *= 0.5  # errors halved too: only the residual check can see it
+    model.errors[:] *= 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InternalConsistencyError, match="alpha residual"):
+            model.validate_cache()
+
+
 # ----------------------------------------------------------------------
 # no full-factor scan on the hot path
 # ----------------------------------------------------------------------
@@ -147,7 +161,9 @@ def test_overflowing_batch_raises():
 
 def test_ingest_at_capacity_scans_no_square_array(monkeypatch):
     """scipy's ``check_finite`` goes through ``numpy.asarray_chkfinite``, which
-    ``cholesky`` and ``cho_solve`` import by name: spy on both bindings."""
+    ``cholesky`` and ``cho_solve`` import by name: spy on both bindings. The
+    model's solves call LAPACK's ``trtrs``/``potrs`` with no wrapper; the two
+    wrapped solves below show that the spy sees scipy's default checks."""
     shapes = []
     original = np.asarray_chkfinite
 

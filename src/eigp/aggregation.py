@@ -141,6 +141,18 @@ def _row(values: dict, ids) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _row_std(E: np.ndarray) -> np.ndarray:
+    """Population standard deviation of each row, shape (rows, 1).
+
+    np.std's own arithmetic in its order, so the same bytes, without the
+    Python-level layers that cost more than the arithmetic on a short row.
+    """
+    n = E.shape[1]
+    dev = E - np.add.reduce(E, axis=1, keepdims=True) / n
+    dev *= dev
+    return np.sqrt(np.add.reduce(dev, axis=1, keepdims=True) / n)
+
+
 def _adaptive_rows(E: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive selection mask and gaussianized scores of each row.
 
@@ -158,7 +170,7 @@ def _adaptive_rows(E: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]
     # sentinel rows (inf - inf) and rows of equal scores (0 / 0) give NaN
     # here, and np.where replaces every one of them
     with np.errstate(invalid="ignore", divide="ignore"):
-        top, sigma = E.max(axis=1, keepdims=True), np.std(E, axis=1, keepdims=True)
+        top, sigma = E.max(axis=1, keepdims=True), _row_std(E)
         sel = np.where(sentinel, inf, E >= top - theta * sigma)
         density = np.exp(-np.float_power(top - E, 2.0) / (2.0 * np.float_power(sigma, 2.0)))
         density /= sigma * math.sqrt(2.0 * math.pi)
@@ -221,8 +233,8 @@ def adaptive_select(
 
 def _minmax_rows(T: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """Rescale each row's selected entries to [0, 1]; a constant row maps to ones."""
-    lo = np.where(sel, T, np.inf).min(axis=1, keepdims=True)
-    span = np.where(sel, T, -np.inf).max(axis=1, keepdims=True) - lo
+    lo = T.min(axis=1, keepdims=True, where=sel, initial=np.inf)
+    span = T.max(axis=1, keepdims=True, where=sel, initial=-np.inf) - lo
     out = sel.astype(float)
     np.divide(T - lo, span, out=out, where=sel & (span > 0))
     return out
@@ -230,8 +242,8 @@ def _minmax_rows(T: np.ndarray, sel: np.ndarray) -> np.ndarray:
 
 def _normalize_rows(S: np.ndarray) -> np.ndarray:
     """Divide each row by its total so it sums to one."""
-    total = np.cumsum(S, axis=1)[:, -1:]
-    if np.any(total <= 0):
+    total = S.cumsum(axis=1)[:, -1:]
+    if (total <= 0).any():
         raise InvalidInputError("proportional normalization needs a positive total")
     return S / total
 
@@ -272,7 +284,7 @@ def _log_precision_gain(cfg: KernelConfig, var: float, agent: int) -> float:
         raise InvalidInputError(
             f"agent {agent}: posterior variance {var} exceeds prior plus noise {cap}"
         )
-    var = min(var, np.nextafter(cap, 0.0))
+    var = min(var, math.nextafter(cap, 0.0))
     return math.log(cap / var)
 
 
@@ -281,10 +293,10 @@ def _aeigp_rows(TW, G, P, nu: float, prior: float) -> np.ndarray:
 
     G and P are zero off the selection, which makes every term there zero.
     """
-    precision = np.cumsum(TW * G * P, axis=1)[:, -1]
+    precision = (TW * G * P).cumsum(axis=1)[:, -1]
     tw_nu = np.float_power(TW, nu)
     blend = tw_nu * np.float_power(G, 1.0 - nu)
-    precision += (1.0 - np.cumsum(blend, axis=1)[:, -1]) / prior
+    precision += (1.0 - blend.cumsum(axis=1)[:, -1]) / prior
     agg_var = np.ones(precision.shape)
     np.divide(1.0, precision, out=agg_var, where=precision > 0)
     return _normalize_rows(tw_nu * np.float_power(G * P * agg_var[:, None], 1.0 - nu))
@@ -465,7 +477,9 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
         if nu == 1.0:
             w = _normalize_rows(w)
         else:
-            for p in np.unique(cols[sel]).tolist():
+            wanted = np.zeros(k, dtype=bool)
+            wanted[cols[sel]] = True
+            for p in wanted.nonzero()[0].tolist():
                 if precisions[p] == 0.0:
                     var = models[table.ids[p]].posterior_var(x)
                     gains[p] = _log_precision_gain(cfg, var, table.ids[p])
@@ -481,7 +495,7 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
         weights[rows, cols] = w
         selected[rows, cols] = sel
     if degenerate.any():
-        dead = np.flatnonzero(degenerate)
+        dead = degenerate.nonzero()[0]
         weights[dead, dead] = 1.0
         selected[dead, dead] = True
     if method.name == "gEIGP":  # one collaborator per requester, at weight one
@@ -492,7 +506,7 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
         # sum started from zero gives
         terms = np.zeros((k, k, table.means.shape[1]))
         np.multiply(weights[:, :, None], table.means, out=terms, where=selected[:, :, None])
-        table.predictions = np.cumsum(terms, axis=1)[:, -1] + 0.0
+        table.predictions = terms.cumsum(axis=1)[:, -1] + 0.0
     table.weights, table.selected, table.degenerate = weights, selected, degenerate
 
 

@@ -170,7 +170,7 @@ def tilde_eta(eta: float, epsilon: float, approx_mean: np.ndarray) -> float:
         return eta
     if epsilon == 0.0:
         return math.inf
-    return float(np.linalg.norm(approx_mean)) / epsilon + eta
+    return math.sqrt(float(approx_mean @ approx_mean)) / epsilon + eta
 
 
 def aggregated_bound(

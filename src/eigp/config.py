@@ -94,6 +94,11 @@ class ExperimentConfig:
         build_graph(self.graph, self.agents)  # validates the edge list
         if self.scenario == "toy" and self.graph != "full":
             raise ConfigError("the toy experiment runs on the complete graph: set graph to 'full'")
+        # the toy function is 1-D: the toy experiment and a synthetic stream draw from it
+        toy_draws = self.scenario == "toy" or not self.dataset
+        if toy_draws and (cfg.input_dim, cfg.output_dim) != (1, 1):
+            source = "the toy experiment" if self.scenario == "toy" else "a stream with no dataset"
+            raise ConfigError(f"{source} is one-dimensional: set input_dim and output_dim to 1")
 
     # ------------------------------------------------------------------
     # derived objects

@@ -36,6 +36,7 @@ class Graph:
             neighbors[a].add(b)
             neighbors[b].add(a)
         self.n = n
+        self.nodes = tuple(range(1, n + 1))
         self.edges = frozenset(seen)
         self._neighbors = {i: tuple(sorted(neighbors[i])) for i in neighbors}
         self._closed = {i: tuple(sorted({i, *neighbors[i]})) for i in neighbors}
@@ -47,10 +48,6 @@ class Graph:
             (rows, np.nonzero(self.mask[rows])[1].reshape(rows.size, -1))
             for rows in (np.flatnonzero(sizes == size) for size in np.unique(sizes))
         )
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n + 1))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         self._check_node(i)

@@ -9,6 +9,10 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+# Rows of the Gram matrix per broadcast: the (block, N, m) temporary stays
+# small, and the per-row Python cost is paid once per block.
+_GRAM_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -52,7 +56,9 @@ def as_input(cfg: KernelConfig, x) -> np.ndarray:
     Every query and every stored input passes through here, which keeps the
     kernel values, and so the models' factors, finite.
     """
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
     if v.shape != (cfg.input_dim,):
         raise InvalidInputError(
             f"expected input of length {cfg.input_dim}, got shape {v.shape}"
@@ -76,24 +82,42 @@ def kernel_vec(cfg: KernelConfig, X: np.ndarray, x) -> np.ndarray:
     q = as_input(cfg, x)
     if X.size == 0:
         return np.zeros(0)
-    d2 = np.add.reduce((X - q) ** 2, axis=1)
-    return cfg.signal_variance * np.exp(-d2 / (2.0 * cfg.lengthscale**2))
+    d2 = X - q
+    d2 *= d2
+    return _scale_exp(cfg, np.add.reduce(d2, axis=1))
+
+
+def _scale_exp(cfg: KernelConfig, d2: np.ndarray) -> np.ndarray:
+    """signal_variance * exp(-d2 / (2 lengthscale^2)), in place over ``d2``.
+
+    Dividing by the negated denominator gives the bytes of negating first:
+    IEEE division is symmetric in sign.
+    """
+    d2 /= -2.0 * cfg.lengthscale**2
+    np.exp(d2, out=d2)
+    d2 *= cfg.signal_variance
+    return d2
 
 
 def gram(cfg: KernelConfig, X: np.ndarray) -> np.ndarray:
-    """Full Gram matrix of the rows of ``X``.
+    """Full Gram matrix of the rows of ``X``, Fortran-ordered like the model's factor.
 
-    Built row by row through :func:`kernel_vec`, so every entry equals the
-    kernel value an append computes for it; Fortran-ordered, the layout of
-    the model's Cholesky factor.
+    Built in blocks of rows: rows p0..p1 are one broadcast against rows
+    0..p1, reduced and scaled with the arithmetic of :func:`kernel_vec` in
+    its order, so every entry equals the kernel value an append computes
+    for it. Each block's columns above it are copied from the transpose of
+    its rows (squared differences are symmetric, so the diagonal block,
+    computed whole, is exactly symmetric too).
     """
     n = X.shape[0]
     K = np.empty((n, n), order="F")
-    for p in range(n):
-        row = kernel_vec(cfg, X[:p], X[p])
-        K[p, :p] = row
-        K[:p, p] = row
-        K[p, p] = cfg.signal_variance
+    for p0 in range(0, n, _GRAM_BLOCK):
+        p1 = min(p0 + _GRAM_BLOCK, n)
+        d2 = X[None, :p1] - X[p0:p1, None]
+        d2 *= d2
+        _scale_exp(cfg, np.add.reduce(d2, axis=2, out=K[p0:p1, :p1]))
+        K[:p0, p0:p1] = K[p0:p1, :p0].T
+    K.flat[:: n + 1] = cfg.signal_variance
     return K
 
 

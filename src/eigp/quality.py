@@ -97,7 +97,7 @@ def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
         rho = float(np.median(k))
     else:  # min
         rho = float(np.min(k))
-    return IndexSelection(included=np.flatnonzero(k >= rho), rho=rho, kernel_values=k)
+    return IndexSelection(included=(k >= rho).nonzero()[0], rho=rho, kernel_values=k)
 
 
 def score_and_approx_mean(

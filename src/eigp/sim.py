@@ -173,7 +173,7 @@ class _RunningSmse:
     def update(self, predictions: dict[int, np.ndarray], truth: np.ndarray):
         """Add one round: the squared errors of every agent's prediction, row by row."""
         errors = np.array(list(predictions.values())) - truth
-        for sq in np.sum(errors**2, axis=1).tolist():
+        for sq in np.add.reduce(errors**2, axis=1).tolist():
             self._sq_err += sq
         self._err_count += errors.size
         if self._t_shift is None:
@@ -229,13 +229,13 @@ def _round_bounds(
     """
     live = ~table.degenerate
     tilde = np.zeros(len(table.ids))
-    for p in np.flatnonzero(table.selected[live].any(axis=0)).tolist():
+    for p in table.selected[live].any(axis=0).nonzero()[0].tolist():
         score = table.scores[p]
         eta = eta_bound(models[table.ids[p]], score.idx, bounds.beta)
         tilde[p] = tilde_eta(eta, score.epsilon / bounds.lam, table.means[p])
     W = table.weights
     terms = np.multiply(W, tilde, out=np.zeros(W.shape), where=W > 0)
-    hat = np.where(live, np.cumsum(terms, axis=1)[:, -1], math.inf)
+    hat = np.where(live, terms.cumsum(axis=1)[:, -1], math.inf)
     return dict(zip(table.ids, hat.tolist()))
 
 
@@ -293,12 +293,22 @@ def run_online(
     ingested strictly before step k; the scheduled recipient then ingests
     the pair and refreshes its error cache.
     """
-    stream_X = np.asarray(stream_X, dtype=float).reshape(-1, cfg.input_dim)
-    stream_Y = np.asarray(stream_Y, dtype=float).reshape(-1, cfg.output_dim)
+    stream_X = _columns(stream_X, cfg.input_dim, "stream inputs")
+    stream_Y = _columns(stream_Y, cfg.output_dim, "stream outputs")
     if stream_X.shape[0] != stream_Y.shape[0]:
         raise InvalidInputError("stream inputs and outputs must align")
     models = {i: AgentModel(cfg) for i in graph.nodes}
     return _run(models, graph, method, cfg, stream_X, stream_Y, bounds, window, schedule)
+
+
+def _columns(values, dim: int, name: str) -> np.ndarray:
+    """``values`` as rows of ``dim`` columns; a 1-D array is one column when ``dim`` is 1."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim == 1 and dim == 1:
+        a = a[:, None]
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise InvalidInputError(f"{name} must have {dim} column(s), got shape {a.shape}")
+    return a
 
 
 def _run(

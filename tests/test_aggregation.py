@@ -27,6 +27,7 @@ from eigp import (
     predict_round,
     proportional_normalize,
 )
+from eigp.aggregation import _row_std
 from eigp.quality import RhoPolicy
 import oracles
 
@@ -556,3 +557,15 @@ def test_row_kernels_match_dict_oracle_bit_for_bit():
         assert generalized_weights(tilde_w, variances, nu, spec, CFG) == (
             oracles._generalized_weights(tilde_w, variances, nu, spec, CFG)
         )
+
+
+def test_row_std_is_np_std_bit_for_bit():
+    rng = np.random.default_rng(21)
+    rows = [rng.normal(size=(5, width)) for width in range(1, 21)]
+    rows += [rng.exponential(size=(4, width)) * 1e8 + 3e8 for width in (2, 7, 9, 16, 20)]
+    rows += [np.full((2, 6), 0.3), np.array([[1.0, 1.0, 2.0, 2.0, 2.0], [5.0, 0.0, 5.0, 0.0, 5.0]])]
+    rows.append(np.array([[math.inf, 1.0, 2.0], [0.5, 0.25, 0.0]]))  # a sentinel row
+    with np.errstate(invalid="ignore"):
+        for E in rows:
+            expected = np.std(E, axis=1, keepdims=True)
+            assert _row_std(E).tobytes() == expected.tobytes()

@@ -16,6 +16,7 @@ from eigp import (
     InvalidInputError,
     load_dataset,
     toy_function,
+    write_dataset,
 )
 from eigp.cli import cmd_compare, cmd_validate_config, main
 from eigp.sim import TOY_INTERVAL
@@ -346,3 +347,45 @@ def test_validate_config_checks_the_constant_rho_range(tmp_path, capsys, rho_val
     for edge in (0.0, 1.0):  # both ends of [0, kappa0] are valid thresholds
         edge_path = write_config(tmp_path, name="edge.json", rho_policy="constant", rho_value=edge)
         assert main(["validate-config", "--config", str(edge_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, source",
+    [
+        ({"kernel": {"input_dim": 2}}, "the toy experiment"),
+        ({"kernel": {"output_dim": 2}}, "the toy experiment"),
+        ({"scenario": "stream", "steps": 40, "kernel": {"input_dim": 2, "output_dim": 2}},
+         "a stream with no dataset"),
+        ({"scenario": "stream", "steps": 40, "kernel": {"output_dim": 3}},
+         "a stream with no dataset"),
+    ],
+    ids=["toy m=2", "toy d=2", "stream m=d=2", "stream d=3"],
+)
+def test_toy_draws_need_one_dimension(tmp_path, capsys, overrides, source):
+    # the toy function is 1-D: a config that would draw from it with other
+    # dimensions fails validation, not (or not only) the run
+    path = write_config(tmp_path, **overrides)
+    assert main(["validate-config", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {source} is one-dimensional: set input_dim and output_dim to 1"]
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert not (out / "summary.json").exists()
+    with pytest.raises(ConfigError, match="one-dimensional"):
+        ExperimentConfig.from_json(path)
+
+
+def test_stream_dataset_sets_its_own_dimensions(tmp_path, capsys):
+    data = tmp_path / "plane.csv"
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-1.0, 1.0, size=(30, 2))
+    write_dataset(data, X, np.sin(X[:, :1] + X[:, 1:]))
+    kernel = {"input_dim": 2, "output_dim": 1}
+    path = write_config(
+        tmp_path, scenario="stream", dataset=str(data), steps=30, capacity=8, agents=2,
+        kernel=kernel,
+    )
+    assert main(["validate-config", "--config", str(path)]) == 0
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["iterations"] == 30

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eigp import InvalidInputError, KernelConfig, gram, kernel_eval, kernel_vec, lipschitz_bound
+from eigp.kernels import as_input
 
 
 def scalar_kernel(sig2, ell, x, x2):
@@ -91,3 +92,57 @@ def test_lipschitz_continuity_on_sampled_triples():
 def test_non_finite_hyperparameters_are_rejected(name, value):
     with pytest.raises(InvalidInputError, match="finite"):
         KernelConfig(**{name: value})
+
+
+def _row_loop_gram(cfg, X):
+    """The Gram matrix one kernel_vec row at a time: the values an append computes."""
+    n = X.shape[0]
+    K = np.empty((n, n))
+    for p in range(n):
+        row = kernel_vec(cfg, X[:p], X[p])
+        K[p, :p] = row
+        K[:p, p] = row
+        K[p, p] = cfg.signal_variance
+    return K
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9])  # 9 passes numpy's 8-term pairwise-sum block
+@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 33, 400])
+def test_blocked_gram_equals_the_row_loop_byte_for_byte(n, m):
+    cfg = KernelConfig(signal_variance=1.7, lengthscale=0.45, noise_variance=0.1, input_dim=m)
+    X = np.random.default_rng(100 * n + m).uniform(-1.5, 1.5, size=(n, m))
+    K = gram(cfg, X)
+    assert K.shape == (n, n) and K.flags.f_contiguous
+    assert K.tobytes(order="F") == _row_loop_gram(cfg, X).tobytes(order="F")
+    assert np.array_equal(K, K.T)  # exactly symmetric
+    assert np.all(np.diagonal(K) == 1.7)
+
+
+def test_blocked_gram_keeps_duplicates_and_far_points_exact():
+    cfg = KernelConfig(signal_variance=2.5, lengthscale=0.1, input_dim=2)
+    X = np.tile([[0.3, -0.2], [40.0, 1.0], [0.3, -0.2]], (7, 1))  # ties across block edges
+    K = gram(cfg, X)
+    assert K.tobytes(order="F") == _row_loop_gram(cfg, X).tobytes(order="F")
+    assert K[0, 2] == 2.5 and K[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 3, 9])
+def test_kernel_vec_equals_the_negate_then_divide_expression(m):
+    cfg = KernelConfig(signal_variance=0.8, lengthscale=0.37, input_dim=m)
+    rng = np.random.default_rng(m)
+    X, q = rng.normal(size=(257, m)), rng.normal(size=m)
+    d2 = np.add.reduce((X - q) ** 2, axis=1)
+    expected = cfg.signal_variance * np.exp(-d2 / (2.0 * cfg.lengthscale**2))
+    assert kernel_vec(cfg, X, q).tobytes() == expected.tobytes()
+
+
+def test_as_input_takes_a_scalar_and_rejects_matrices_and_nan():
+    cfg = KernelConfig()
+    for x in (0.5, np.float64(0.5), np.array(0.5), [0.5]):
+        v = as_input(cfg, x)
+        assert v.shape == (1,) and v.dtype == float and v[0] == 0.5
+    with pytest.raises(InvalidInputError, match=r"shape \(1, 1\)"):
+        as_input(cfg, [[0.5]])
+    for bad in (math.nan, [math.inf], np.array(-math.inf)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            as_input(cfg, bad)

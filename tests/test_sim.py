@@ -361,3 +361,34 @@ def test_predict_round_keeps_calling_the_traced_names(monkeypatch):
             assert calls["joint_predict"] == list(graph.nodes)
             pairs = sum(len(graph.closed_neighborhood(i)) for i in graph.nodes)
             assert len(calls["classical"]) == pairs
+
+
+def test_run_online_rejects_arrays_of_the_wrong_width():
+    rng = np.random.default_rng(18)
+    xs = rng.uniform(-1, 1, size=40)
+    ys = toy_function(xs, rng)
+    plane = KernelConfig(lengthscale=0.5, noise_variance=0.1, input_dim=2, output_dim=2)
+    schedule = StreamSchedule("cyclic", capacity=10)
+
+    def rejects(cfg, X, Y, message):
+        with pytest.raises(InvalidInputError, match=message):
+            run_online(cfg, MethodSpec("gEIGP"), fully_connected(2), X, Y, schedule)
+
+    # 1-D draws are one column each, not 20 points of 2 coordinates
+    rejects(plane, xs, ys, r"stream inputs must have 2 column\(s\), got shape \(40,\)")
+    rejects(CFG, xs.reshape(20, 2), ys[:20], r"inputs must have 1 column\(s\), got shape \(20, 2\)")
+    rejects(CFG, xs[:, None], np.stack([ys, ys], axis=1), r"stream outputs must have 1 column\(s\)")
+    rejects(CFG, 0.5, [1.0], r"stream inputs must have 1 column\(s\), got shape \(\)")
+
+
+def test_run_online_takes_a_1d_stream_as_one_column():
+    rng = np.random.default_rng(19)
+    xs = rng.uniform(-1, 1, size=30)
+    ys = toy_function(xs, rng)
+    args = (CFG, MethodSpec("aEIGP", nu=0.5), fully_connected(3))
+    schedule = StreamSchedule("cyclic", capacity=6)
+    flat = run_online(*args, xs, ys, schedule)
+    columns = run_online(*args, xs[:, None], ys[:, None], schedule)
+    assert len(flat.records) == 30
+    for a, b in zip(flat.records, columns.records):
+        assert all(np.array_equal(a.predictions[i], b.predictions[i]) for i in a.predictions)

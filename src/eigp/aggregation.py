@@ -178,7 +178,7 @@ def _adaptive_rows(E: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]
     return sel, gauss
 
 
-def greedy_select(requester: int, scores: dict[int, float], d: int = 1) -> AggregationPlan:
+def greedy_select(requester: int, scores: dict[int, float]) -> AggregationPlan:
     """Adopt the single neighbor with maximal epsilon, weight one.
 
     The choice does not depend on ``requester``, whose neighbors' scores
@@ -189,7 +189,7 @@ def greedy_select(requester: int, scores: dict[int, float], d: int = 1) -> Aggre
     ids = tuple(sorted(scores))
     row = np.zeros(len(ids))
     row[_row(scores, ids)[0].argmax()] = 1.0  # the first maximum: ties go to the lowest id
-    return AggregationPlan(ids, row, _chosen(ids, row), d)
+    return AggregationPlan(ids, row, _chosen(ids, row))
 
 
 def gaussianize_epsilon(scores: dict[int, float]) -> dict[int, float]:
@@ -231,6 +231,14 @@ def adaptive_select(
 # ----------------------------------------------------------------------
 
 
+def _left_sum(values) -> float:
+    """Left-to-right sum, as ``cumsum`` adds: the built-in ``sum`` of floats compensates (3.12+)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _minmax_rows(T: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """Rescale each row's selected entries to [0, 1]; a constant row maps to ones."""
     lo = T.min(axis=1, keepdims=True, where=sel, initial=np.inf)
@@ -258,7 +266,7 @@ def minmax_normalize(v) -> np.ndarray:
 
 def proportional_normalize(values: dict[int, float]) -> dict[int, float]:
     """Divide each value by the total so the results sum to one."""
-    total = sum(values.values())
+    total = _left_sum(values.values())
     if total <= 0:
         raise InvalidInputError("proportional normalization needs a positive total")
     return {s: v / total for s, v in values.items()}
@@ -304,24 +312,24 @@ def _aeigp_rows(TW, G, P, nu: float, prior: float) -> np.ndarray:
 
 def _family_scores(
     family: str,
-    gains: dict[int, float],
-    variances: dict[int, float],
+    ids: list[int],
+    gains: list[float],
+    variances: list[float],
     cfg: KernelConfig,
-) -> dict[int, float]:
-    """Variance-based aggregation scores for the POE or BCM family."""
-    ids = sorted(variances)
-    for s in ids:
-        if variances[s] <= 0:
+) -> list[float]:
+    """Variance-based aggregation scores for the POE or BCM family, lists in ``ids`` order."""
+    for s, var in zip(ids, variances):
+        if var <= 0:
             raise InvalidInputError(f"agent {s}: posterior variance must be positive")
-    precisions = {s: 1.0 / variances[s] for s in ids}
-    numerators = {s: gains[s] * precisions[s] for s in ids}
+    precisions = [1.0 / var for var in variances]
+    numerators = [g * p for g, p in zip(gains, precisions)]
     if family == "poe":
-        denom = sum(numerators.values())
+        denom = _left_sum(numerators)
     else:  # bcm: prior-corrected denominator
-        denom = sum(precisions.values()) + (1.0 - sum(gains.values())) / cfg.prior_plus_noise
+        denom = _left_sum(precisions) + (1.0 - _left_sum(gains)) / cfg.prior_plus_noise
     if denom <= 0:
         raise InvalidInputError("variance-family denominator must be positive")
-    return {s: numerators[s] / denom for s in ids}
+    return [num / denom for num in numerators]
 
 
 def _tradeoff(kind: str, a: float, b: float, nu: float) -> float:
@@ -339,18 +347,17 @@ def _generalized_rows(TW, sel, G, V, ids, nu: float, spec: TradeoffSpec, cfg: Ke
     scores = np.zeros(TW.shape)
     for r, m in enumerate(sel):
         row_ids = ids[r][m].tolist()
-        gains, variances = (dict(zip(row_ids, A[r][m].tolist())) for A in (G, V))
-        family = _family_scores(spec.variance_family, gains, variances, cfg)
-        pairs = list(zip(row_ids, TW[r][m].tolist()))
+        tw, gains, variances = (A[r][m].tolist() for A in (TW, G, V))
+        family = _family_scores(spec.variance_family, row_ids, gains, variances, cfg)
         if spec.kind == "logarithmic":
-            for s, a in pairs:
-                if a <= 0 or family[s] <= 0:
+            for s, a, f in zip(row_ids, tw, family):
+                if a <= 0 or f <= 0:
                     raise InvalidInputError(
                         f"agent {s}: logarithmic trade-off needs positive arguments, "
-                        f"got ({a}, {family[s]})"
+                        f"got ({a}, {f})"
                     )
-        values = [_tradeoff(spec.kind, a, family[s], nu) for s, a in pairs]
-        for (s, _), v in zip(pairs, values):
+        values = [_tradeoff(spec.kind, a, f, nu) for a, f in zip(tw, family)]
+        for s, v in zip(row_ids, values):
             if v < 0:
                 raise InvalidInputError(
                     f"agent {s}: trade-off score {v} is negative, weights must be nonnegative"
@@ -429,13 +436,14 @@ def baseline_weights(
         raise InvalidInputError("baseline weights need at least one agent")
     if method == "MOE":
         return {s: 1.0 / len(ids) for s in ids}
+    var = [variances[s] for s in ids]
     if method in ("GPOE", "RBCM"):
-        gains = {s: 0.5 * _log_precision_gain(cfg, variances[s], s) for s in ids}
+        gains = [0.5 * _log_precision_gain(cfg, v, s) for s, v in zip(ids, var)]
     else:  # POE, BCM
-        gains = {s: 1.0 for s in ids}
+        gains = [1.0] * len(ids)
     family = "poe" if method in ("POE", "GPOE") else "bcm"
-    scores = _family_scores(family, gains, variances, cfg)
-    return proportional_normalize(scores)
+    scores = _family_scores(family, ids, gains, var, cfg)
+    return proportional_normalize(dict(zip(ids, scores)))
 
 
 # ----------------------------------------------------------------------
@@ -532,9 +540,10 @@ def joint_predict(
     every neighborhood model is empty the prior mean 0 is returned with a
     flagged plan.
     """
-    neighborhood = graph.closed_neighborhood(requester)
     if method.is_baseline:
+        neighborhood = graph.closed_neighborhood(requester)
         return _baseline_predict(x, models, neighborhood, method, cfg)
+    graph._check_node(requester)  # before requester - 1 indexes the table
     table = evaluations
     if table is None:
         table = evaluate_round(graph.nodes, x, models, method)

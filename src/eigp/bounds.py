@@ -144,11 +144,11 @@ def eta_from_counts(
     return 2.0 * math.sqrt(d * beta * max(radicand, 0.0))
 
 
-def eta_bound(model: AgentModel, idx: IndexSelection, beta: float, d: int | None = None) -> float:
+def eta_bound(model: AgentModel, idx: IndexSelection, beta: float) -> float:
     """Prediction-error bound of one model at the query behind ``idx``."""
     cfg = model.cfg
     return eta_from_counts(
-        d if d is not None else cfg.output_dim,
+        cfg.output_dim,
         beta,
         cfg.kappa0,
         cfg.noise_variance,

@@ -159,7 +159,7 @@ class ExperimentConfig:
                 values = {k: float(v) for k, v in bounds_raw.items() if k != "box"}
                 data["bounds"] = BoundConfig(**values, box=box)
             if isinstance(data.get("graph"), list):
-                data["graph"] = tuple((int(a), int(b)) for a, b in data["graph"])
+                data["graph"] = tuple(_edge(edge) for edge in data["graph"])
         except (TypeError, ValueError) as exc:  # a ConfigError is a ValueError too
             raise ConfigError(f"bad bounds or graph: {exc}") from None
         try:
@@ -177,3 +177,11 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         return cls.from_dict(raw)
+
+
+def _edge(edge) -> tuple[int, int]:
+    """One ``[a, b]`` edge of a JSON graph: both endpoints must be JSON integers."""
+    a, b = edge
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (a, b)):
+        raise ConfigError(f"graph edge {edge!r}: node ids must be integers")
+    return a, b

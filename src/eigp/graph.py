@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -11,8 +13,7 @@ class Graph:
     """Symmetric neighbor structure without self-loops.
 
     ``closed_neighborhood(i)`` returns i together with its neighbors, the
-    candidate pool for cooperative prediction. ``mask[i - 1, j - 1]`` is
-    true when j lies in the closed neighborhood of i. ``groups`` gathers the
+    candidate pool for cooperative prediction. ``groups`` gathers the
     nodes by closed-neighborhood size: each entry pairs node positions
     (i - 1) with the positions of their neighborhoods in id order, one row
     per node.
@@ -24,7 +25,10 @@ class Graph:
         seen: set[tuple[int, int]] = set()
         neighbors: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
         for a, b in edges:
-            a, b = int(a), int(b)
+            try:  # integers of any kind (numpy's too), but no floats or strings
+                a, b = operator.index(a), operator.index(b)
+            except TypeError:
+                raise InvalidInputError(f"edge ({a!r}, {b!r}): node ids must be integers") from None
             if a == b:
                 raise InvalidInputError(f"self-loop on node {a}")
             if not (1 <= a <= n and 1 <= b <= n):
@@ -38,27 +42,25 @@ class Graph:
         self.n = n
         self.nodes = tuple(range(1, n + 1))
         self.edges = frozenset(seen)
-        self._neighbors = {i: tuple(sorted(neighbors[i])) for i in neighbors}
         self._closed = {i: tuple(sorted({i, *neighbors[i]})) for i in neighbors}
-        self.mask = np.zeros((n, n), dtype=bool)
+        mask = np.zeros((n, n), dtype=bool)  # row i - 1: the closed neighborhood of i
         for i, closed in self._closed.items():
-            self.mask[i - 1, np.subtract(closed, 1)] = True
-        sizes = self.mask.sum(axis=1)
+            mask[i - 1, np.subtract(closed, 1)] = True
+        sizes = mask.sum(axis=1)
         self.groups = tuple(
-            (rows, np.nonzero(self.mask[rows])[1].reshape(rows.size, -1))
+            (rows, np.nonzero(mask[rows])[1].reshape(rows.size, -1))
             for rows in (np.flatnonzero(sizes == size) for size in np.unique(sizes))
         )
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        self._check_node(i)
-        return self._neighbors[i]
+        return tuple(j for j in self.closed_neighborhood(i) if j != i)
 
     def closed_neighborhood(self, i: int) -> tuple[int, ...]:
         self._check_node(i)
         return self._closed[i]
 
     def _check_node(self, i: int) -> None:
-        if i not in self._neighbors:
+        if i not in self._closed:
             raise InvalidInputError(f"node {i} not in graph of size {self.n}")
 
     def __eq__(self, other):

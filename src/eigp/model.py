@@ -33,8 +33,9 @@ wrapper re-validating the arguments and no finiteness scan (a full pass over
 the N x N buffer per solve); only ``cholesky`` of a freshly computed Gram
 matrix keeps scipy's check. A nonzero ``info``, which a zero on the diagonal
 gives and the argument below rules out, raises
-:class:`~eigp.errors.InternalConsistencyError`. An empty model needs no
-solve: its alpha is the empty (0, d) array, which the bindings would reject.
+:class:`~eigp.errors.InternalConsistencyError`. The bindings reject 0-size
+arrays, so ``_solve`` returns an empty model's empty solution itself, and
+an empty model takes the general path of every method but ``posterior_var``.
 The argument, and the O(N) checks that guard it:
 
 - X and Y are finite: :func:`eigp.kernels.as_input` rejects a non-finite
@@ -72,6 +73,8 @@ from .kernels import KernelConfig, as_input, gram, kernel_vec
 # Schur complements below this fraction of the noise floor trigger a full
 # refactorization instead of an incremental factor extension.
 _REFACTOR_FLOOR = 1e-12
+# Relative tolerance of validate_cache's alpha residual.
+_CACHE_RTOL = 1e-9
 
 
 class AgentModel:
@@ -105,9 +108,6 @@ class AgentModel:
         model._factor()
         model._resolve()
         return model
-
-    def __len__(self) -> int:
-        return self.n
 
     @property
     def X(self) -> np.ndarray:
@@ -169,9 +169,7 @@ class AgentModel:
         Raises, leaving the caches as they were, if alpha overflows; the
         errors are residuals, no larger than the targets.
         """
-        if self.n == 0:  # the LAPACK bindings reject 0-size arrays
-            alpha = np.zeros((0, self.cfg.output_dim))
-        elif z is None:
+        if z is None:
             alpha = _solve(dpotrs, self._L, self.Y)
         else:
             alpha = _solve(dtrtrs, self._L, z, trans=1)
@@ -268,9 +266,6 @@ class AgentModel:
         The same expression as the means of :meth:`classical_predict`, so the
         two agree bit for bit. An empty model returns the prior mean 0.
         """
-        if self.n == 0:
-            as_input(self.cfg, x)  # the prior answers a valid query only
-            return 0.0
         k = kernel_vec(self.cfg, self.X, x)
         return float((k @ self.alpha)[j])
 
@@ -280,6 +275,9 @@ class AgentModel:
         An empty model returns the prior variance kappa(0).
         """
         if self.n == 0:
+            # The general path gives the same kappa(0), but a stream's fill
+            # phase reads every selected empty agent's variance each round,
+            # and streams ran slower without this shortcut.
             as_input(self.cfg, x)
             return self.cfg.kappa0
         return self._variance(kernel_vec(self.cfg, self.X, x))
@@ -292,9 +290,6 @@ class AgentModel:
         solve for the variance per query, no reuse of the cached error
         vectors.
         """
-        if self.n == 0:
-            as_input(self.cfg, x)
-            return np.zeros(self.cfg.output_dim), self.cfg.kappa0
         k = kernel_vec(self.cfg, self.X, x)
         return k @ self.alpha, self._variance(k)
 
@@ -315,7 +310,7 @@ class AgentModel:
     # diagnostics
     # ------------------------------------------------------------------
 
-    def validate_cache(self, rtol: float = 1e-9) -> None:
+    def validate_cache(self) -> None:
         """Raise if any cached quantity disagrees with a recomputation."""
         if self.n == 0:
             return
@@ -324,7 +319,7 @@ class AgentModel:
         top = max(float(np.abs(self.Y).max()), 1.0)
         resid = self.K @ self.alpha + self.cfg.noise_variance * self.alpha - self.Y
         resid = np.linalg.norm(resid / top)
-        if resid > rtol * max(np.linalg.norm(self.Y / top), 1.0):
+        if resid > _CACHE_RTOL * max(np.linalg.norm(self.Y / top), 1.0):
             raise InternalConsistencyError(f"alpha residual {resid:.3e} exceeds tolerance")
         if not np.allclose(
             self.errors, (-self.cfg.noise_variance * self.alpha).T, rtol=0, atol=1e-12
@@ -336,8 +331,11 @@ def _solve(routine, L: np.ndarray, b: np.ndarray, **kwargs) -> np.ndarray:
     """LAPACK ``routine`` (``dtrtrs`` or ``dpotrs``) with the lower factor ``L``.
 
     ``L`` is Fortran-ordered, so the binding reads it in place; it copies
-    ``b`` and returns the solution in the shape of ``b``.
+    ``b`` and returns the solution in the shape of ``b``. The bindings reject
+    a 0-size ``b``, an empty model's, so its empty solution is returned here.
     """
+    if b.size == 0:
+        return np.zeros(b.shape)
     x, info = routine(L, b, lower=1, **kwargs)
     if info != 0:
         raise InternalConsistencyError(f"LAPACK solve against the factor failed (info {info})")

@@ -223,8 +223,16 @@ def _minmax_normalize(v):
     return (v - lo) / (hi - lo)
 
 
+def _left_sum(values):
+    """The sum in the order given; the built-in sum of floats is compensated from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _proportional_normalize(values):
-    total = sum(values.values())
+    total = _left_sum(values.values())
     if total <= 0:
         raise InvalidInputError("proportional normalization needs a positive total")
     return {s: v / total for s, v in values.items()}
@@ -250,8 +258,9 @@ def _aeigp_weights(tilde_w, variances, nu, cfg):
     prior = cfg.prior_plus_noise
     gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
     precisions = {s: 1.0 / variances[s] for s in ids}
-    agg_precision = sum(tilde_w[s] * gains[s] * precisions[s] for s in ids)
-    agg_precision += (1.0 - sum(tilde_w[s] ** nu * gains[s] ** (1.0 - nu) for s in ids)) / prior
+    agg_precision = _left_sum(tilde_w[s] * gains[s] * precisions[s] for s in ids)
+    blend = _left_sum(tilde_w[s] ** nu * gains[s] ** (1.0 - nu) for s in ids)
+    agg_precision += (1.0 - blend) / prior
     agg_var = 1.0 / agg_precision if agg_precision > 0 else 1.0
     scores = {
         s: tilde_w[s] ** nu * (gains[s] * precisions[s] * agg_var) ** (1.0 - nu) for s in ids
@@ -264,9 +273,10 @@ def _family_scores(family, gains, variances, cfg):
     precisions = {s: 1.0 / variances[s] for s in ids}
     numerators = {s: gains[s] * precisions[s] for s in ids}
     if family == "poe":
-        denom = sum(numerators.values())
+        denom = _left_sum(numerators.values())
     else:
-        denom = sum(precisions.values()) + (1.0 - sum(gains.values())) / cfg.prior_plus_noise
+        correction = (1.0 - _left_sum(gains.values())) / cfg.prior_plus_noise
+        denom = _left_sum(precisions.values()) + correction
     if denom <= 0:
         raise InvalidInputError("variance-family denominator must be positive")
     return {s: numerators[s] / denom for s in ids}

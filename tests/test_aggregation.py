@@ -1,6 +1,8 @@
 """Selection rules, weight constructions and the joint prediction."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +431,34 @@ def test_all_empty_neighborhood_returns_flagged_prior():
         assert plan.degenerate
 
 
+FILL_PHASE_METHODS = [MethodSpec("gEIGP"), MethodSpec("aEIGP", nu=0.5), MethodSpec("aEIGP", nu=1.0)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an empty model scores the infinity sentinel, which outranks every filled model",
+)
+@pytest.mark.parametrize("method", FILL_PHASE_METHODS, ids=lambda m: f"{m.name}-nu{m.nu}")
+def test_filled_agent_outranks_an_empty_one(method):
+    # Agent 1 fits the data (its own mean at 0.3 is 0.756); agent 2 holds
+    # nothing. Today every requester selects agent 2 alone and predicts 0.0.
+    X = np.linspace(-1.0, 1.0, 30)[:, None]
+    models = {1: AgentModel.from_data(CFG, X, np.sin(3.0 * X)), 2: AgentModel(CFG)}
+    graph = fully_connected(2)
+    plans = predict_round(models, graph, [0.3], method, CFG)[1]
+    for i in graph.nodes:
+        assert 1 in plans[i].selected
+
+
+def test_joint_predict_rejects_a_requester_outside_the_graph():
+    rng = np.random.default_rng(9)
+    models, graph = build_scenario(rng)
+    for name in ("gEIGP", "aEIGP", "MOE"):
+        for requester in (0, 4):  # 0 would otherwise read the last row of the table
+            with pytest.raises(InvalidInputError, match="not in graph"):
+                joint_predict(requester, [0.0], models, graph, MethodSpec(name), CFG)
+
+
 def test_baselines_engage_whole_neighborhood():
     rng = np.random.default_rng(9)
     models, graph = build_scenario(rng, n_agents=4)
@@ -557,6 +587,21 @@ def test_row_kernels_match_dict_oracle_bit_for_bit():
         assert generalized_weights(tilde_w, variances, nu, spec, CFG) == (
             oracles._generalized_weights(tilde_w, variances, nu, spec, CFG)
         )
+
+
+def test_dict_sums_run_left_to_right():
+    # From Python 3.12 on, the built-in sum() of floats is compensated, so it
+    # would no longer give the bytes of the row kernels' cumsum. Left to
+    # right, 1e16 + 1.0 rounds to 1e16, so the first 1.0 is lost.
+    assert proportional_normalize({1: 1e16, 2: 1.0, 3: -1e16, 4: 1.0})[4] == 1.0
+    tests = Path(__file__).resolve().parent
+    calls = []
+    for path in (tests.parent / "src" / "eigp" / "aggregation.py", tests / "oracles.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "sum":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 def test_row_std_is_np_std_bit_for_bit():

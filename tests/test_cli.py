@@ -249,6 +249,21 @@ def test_validate_config_rejects_bad_graph(tmp_path, capsys):
         cmd_validate_config(argparse.Namespace(config=str(path)))
 
 
+@pytest.mark.parametrize(
+    "graph, edge",
+    [([[1.7, 2], [2, 3.9]], "[1.7, 2]"), ([["1", "2"]], "['1', '2']"), ([[True, 2]], "[True, 2]")],
+    ids=["floats", "strings", "boolean"],
+)
+def test_validate_config_rejects_non_integer_edges(tmp_path, capsys, graph, edge):
+    # int() would make node ids of each of these: [[1.7, 2]] would give ((1, 2),)
+    path = write_config(tmp_path, scenario="stream", steps=20, graph=graph)
+    assert main(["validate-config", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: bad bounds or graph: graph edge {edge}: node ids must be integers"]
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(path)
+
+
 def test_toy_config_rejects_a_graph_it_would_not_use(tmp_path, capsys):
     path = write_config(tmp_path, method="MOE", graph=[[1, 2], [2, 3], [3, 4]])
     assert main(["validate-config", "--config", str(path)]) == 1

@@ -1,5 +1,6 @@
 """Communication-graph construction and neighborhood queries."""
 
+import numpy as np
 import pytest
 
 from eigp import Graph, InvalidInputError, build_graph, fully_connected
@@ -40,6 +41,17 @@ def test_rejects_bad_edges():
         Graph(3, [(1, 9)])  # out of range
     with pytest.raises(InvalidInputError):
         Graph(0, [])
+    for edge in ((1.7, 2), ("1", "2")):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            Graph(3, [edge])
+
+
+def test_numpy_integer_edges_are_node_ids():
+    g = Graph(3, np.array([[1, 2], [2, 3]]))
+    assert g == Graph(3, [(1, 2), (2, 3)])
+    assert g.neighbors(2) == (1, 3)
+    with pytest.raises(InvalidInputError, match="not in graph"):
+        g.neighbors(4)
 
 
 def test_build_graph_specs():

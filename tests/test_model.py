@@ -1,13 +1,18 @@
 """Agent-model posterior paths against dense from-scratch solves."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigp import AgentModel, InvalidInputError, KernelConfig, kernel_eval
 from eigp import model as model_module
-from eigp.memory import ingest
-from eigp.quality import RhoPolicy, select_indices
+from eigp.memory import delete_and_reallocate, ingest
+from eigp.quality import RhoPolicy, score_and_approx_mean, select_indices
 from oracles import approx_mean, posterior_mean_via_errors
+from test_finite import _OPS as RANDOM_OPS
 
 UNIT = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1.0)
 
@@ -279,3 +284,99 @@ def test_refactor_fallback_equals_a_fresh_model(at_capacity):
     for x in (-0.5, 0.0, 0.7, 2.0, 3.1):
         assert model.posterior_mean([x]) == fresh.posterior_mean([x])
         assert model.posterior_var([x]) == fresh.posterior_var([x])
+
+
+# ----------------------------------------------------------------------
+# the whole query path against a dense reference GP
+# ----------------------------------------------------------------------
+
+
+def dense_query(cfg, X, Y, x):
+    """Kernel vector, K + noise I solved directly for Y, and the variance, at query ``x``."""
+    scale = -0.5 / cfg.lengthscale**2
+    K = cfg.signal_variance * np.exp(scale * ((X[:, None] - X[None, :]) ** 2).sum(axis=2))
+    k = cfg.signal_variance * np.exp(scale * ((X - x) ** 2).sum(axis=1))
+    reg = K + cfg.noise_variance * np.eye(X.shape[0])
+    alpha = np.linalg.solve(reg, Y)
+    var = max(cfg.kappa0 - float(k @ np.linalg.solve(reg, k)), 0.0)
+    return k, alpha, var
+
+
+def assert_query_path_matches_dense(model, x, policy):
+    """Means, variance, epsilon and truncated mean against ``dense_query``.
+
+    Each tolerance is relative to the size of the terms its quantity sums,
+    so cancellation in a small result does not fail a correct solve. The
+    included set is the model's, checked against the dense kernel vector
+    up to rounding at the threshold.
+    """
+    cfg, n, d = model.cfg, model.n, model.cfg.output_dim
+    k, alpha, var = dense_query(cfg, model.X, model.Y, x)
+    terms = np.abs(k) @ np.abs(alpha)  # (d,): the size of every k-weighted sum of alpha
+    tol, tiny = 1e-8, 1e-300  # tiny: subnormal results round in absolute steps
+
+    mean, classical_var = model.classical_predict(x)
+    assert np.all(np.abs(mean - k @ alpha) <= tol * terms + tiny)
+    for j in range(d):
+        assert model.posterior_mean(x, j) == mean[j]
+    var_scale = cfg.kappa0 + float(k @ k) / cfg.noise_variance
+    assert abs(model.posterior_var(x) - var) <= tol * var_scale
+    assert model.posterior_var(x) == classical_var
+
+    score, tilde_mu = score_and_approx_mean(model, x, policy)
+    idx = score.idx
+    inc = np.zeros(n, dtype=bool)
+    inc[idx.included] = True
+    if n:
+        assert np.all(k[inc] >= idx.rho * (1 - 1e-12))
+        assert np.all(k[~inc] < idx.rho * (1 + 1e-12))
+        if policy.kind == "mean":
+            assert idx.rho == pytest.approx(float(k.mean()), rel=1e-12)
+    included_terms = np.abs(k[inc]) @ np.abs(alpha[inc])
+    assert np.all(np.abs(tilde_mu - k[inc] @ alpha[inc]) <= tol * included_terms + tiny)
+    excluded = n - int(inc.sum())
+    if excluded == 0:
+        assert score.epsilon == math.inf
+    else:
+        num = cfg.noise_variance * (k[inc] @ alpha[inc])
+        eps = math.sqrt(float(num @ num)) / (idx.rho * excluded)
+        eps_tol = tol * cfg.noise_variance * math.sqrt(float(included_terms @ included_terms))
+        assert abs(score.epsilon - eps) <= eps_tol / (idx.rho * excluded) + tiny
+
+
+@given(
+    m=st.sampled_from([1, 2, 3]),
+    d=st.sampled_from([1, 2]),
+    noise=st.floats(1e-3, 2.0),
+    offset=st.sampled_from([0.0, -40.0, 1e3]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    capacity=st.integers(1, 6),
+    policy=st.sampled_from([RhoPolicy("mean"), RhoPolicy("constant", 0.5)]),
+    ops=RANDOM_OPS,
+)
+@settings(max_examples=100, deadline=None)
+def test_query_path_matches_a_dense_reference(
+    m, d, noise, offset, scale, capacity, policy, ops
+):
+    cfg = KernelConfig(
+        signal_variance=1.0, lengthscale=0.8, noise_variance=noise, input_dim=m, output_dim=d
+    )
+    rng = np.random.default_rng(m)
+    pool = rng.normal(size=(5, m))
+    queries = [pool[0], pool[3] + 1e-7, rng.normal(size=m), np.full(m, 4.0)]
+    model = AgentModel(cfg)
+    for x in queries:  # the empty model takes the general path too
+        assert_query_path_matches_dense(model, x, policy)
+    for kind, i, jitter, t in ops:
+        x = pool[i] + jitter
+        y = offset + scale * t * np.arange(1, d + 1)
+        if kind == "append":
+            model.append_point(x, y)
+        elif kind == "ingest":
+            if model.n > capacity:
+                continue
+            ingest(model, x, y, capacity)
+        elif model.n:
+            delete_and_reallocate(model, i % model.n)
+        for q in queries:
+            assert_query_path_matches_dense(model, q, policy)

@@ -5,17 +5,18 @@ generalized trade-off/variance-family weight constructions, the classical
 expert-aggregation baselines (MOE, POE, GPOE, BCM, RBCM) and the joint
 prediction that ties them to the per-agent models.
 
-All functions read immutable model snapshots. A query round scores every
-agent once into a :class:`RoundTable` of arrays indexed by agent position
-(:func:`evaluate_round`); one batched pass then selects and weighs for every
+All functions read immutable model snapshots. Every method runs one path:
+a query round builds a :class:`RoundTable` of arrays indexed by agent
+position (:func:`evaluate_round`, which scores every agent once for the
+EIGP methods), and one batched pass then selects and weighs for every
 requester, each over its own closed neighborhood, into a requester x agent
-weight matrix, and an :class:`AggregationPlan` is a view on one row. The
-dict helpers (``greedy_select``, ``aeigp_weights``, ...) run the same row
-kernels on a single row. Powers use ``np.float_power``, which calls the C
-library's ``pow`` as Python's ``**`` does (``np.power`` takes square, sqrt
-and SIMD shortcuts that round differently), and the log gain stays
-``math.log``: a batched round predicts bit for bit what one requester at a
-time would.
+weight matrix; an :class:`AggregationPlan` is a view on one row. The dict
+helpers (``greedy_select``, ``aeigp_weights``, ``baseline_weights``, ...)
+run the same row kernels on a single row. Powers use ``np.float_power``,
+which calls the C library's ``pow`` as Python's ``**`` does (``np.power``
+takes square, sqrt and SIMD shortcuts that round differently), and the log
+gain stays ``math.log``: a batched round predicts bit for bit what one
+requester at a time would.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class RoundTable:
 
     ``ids`` is the agent id at each position; ``scores`` (read by the
     bounds), ``eps``, ``means`` (agents x d) and ``empty`` hold each agent's
-    quality score, epsilon, truncated mean and empty-model flag. The batched
-    pass (:func:`_weigh`) fills ``weights`` (requester x agent, zero off the
-    selection), ``selected``, ``degenerate`` and ``predictions`` (requester
-    x d), one row per requester position.
+    quality score, epsilon, truncated mean and empty-model flag. A baseline
+    scores nothing; the batched pass (:func:`_weigh`) fills its classical
+    means, and for every method ``weights`` (requester x agent, zero off
+    the selection), ``selected``, ``degenerate`` and ``predictions``
+    (requester x d), one row per requester position.
     """
 
     def __init__(self, ids: tuple[int, ...], scores: list[QualityScore], eps, means, empty):
@@ -118,13 +120,15 @@ def evaluate_round(agents, x, models: dict[int, AgentModel], method: MethodSpec)
     """Score each of ``agents`` once at ``x``: the table every requester reads.
 
     Scores are taken at lam = 1: lam rescales every agent's epsilon equally,
-    so it changes no selection or weight.
+    so it changes no selection or weight. Baselines score nothing.
     """
     ids = tuple(agents)
+    empty = np.array([models[s].n == 0 for s in ids])
+    if method.is_baseline:
+        return RoundTable(ids, [], None, None, empty)
     policy = method.rho_policy
     scores, means = zip(*(score_and_approx_mean(models[s], x, policy) for s in ids))
     eps = np.array([score.epsilon for score in scores])
-    empty = np.array([models[s].n == 0 for s in ids])
     return RoundTable(ids, list(scores), eps, np.array(means), empty)
 
 
@@ -231,14 +235,6 @@ def adaptive_select(
 # ----------------------------------------------------------------------
 
 
-def _left_sum(values) -> float:
-    """Left-to-right sum, as ``cumsum`` adds: the built-in ``sum`` of floats compensates (3.12+)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _minmax_rows(T: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """Rescale each row's selected entries to [0, 1]; a constant row maps to ones."""
     lo = T.min(axis=1, keepdims=True, where=sel, initial=np.inf)
@@ -266,10 +262,9 @@ def minmax_normalize(v) -> np.ndarray:
 
 def proportional_normalize(values: dict[int, float]) -> dict[int, float]:
     """Divide each value by the total so the results sum to one."""
-    total = _left_sum(values.values())
-    if total <= 0:
+    if not values:
         raise InvalidInputError("proportional normalization needs a positive total")
-    return {s: v / total for s, v in values.items()}
+    return dict(zip(values, _normalize_rows(_row(values, values))[0].tolist()))
 
 
 def error_weights(
@@ -310,62 +305,80 @@ def _aeigp_rows(TW, G, P, nu: float, prior: float) -> np.ndarray:
     return _normalize_rows(tw_nu * np.float_power(G * P * agg_var[:, None], 1.0 - nu))
 
 
-def _family_scores(
-    family: str,
-    ids: list[int],
-    gains: list[float],
-    variances: list[float],
-    cfg: KernelConfig,
-) -> list[float]:
-    """Variance-based aggregation scores for the POE or BCM family, lists in ``ids`` order."""
-    for s, var in zip(ids, variances):
-        if var <= 0:
-            raise InvalidInputError(f"agent {s}: posterior variance must be positive")
-    precisions = [1.0 / var for var in variances]
-    numerators = [g * p for g, p in zip(gains, precisions)]
+def _family_rows(family: str, G, V, sel, prior: float) -> np.ndarray:
+    """POE or BCM variance-family scores of each row from gains G and variances V.
+
+    An agent's score is its gain times its precision over the row's
+    denominator: the sum of those numerators (POE), or the sum of the
+    precisions plus the prior correction (1 - sum of gains) / prior (BCM).
+    G is zero off the selection ``sel``; V is read, and positive, only on it.
+    """
+    P = np.divide(1.0, V, out=np.zeros(V.shape), where=sel)
+    N = G * P
     if family == "poe":
-        denom = _left_sum(numerators)
-    else:  # bcm: prior-corrected denominator
-        denom = _left_sum(precisions) + (1.0 - _left_sum(gains)) / cfg.prior_plus_noise
-    if denom <= 0:
+        denom = N.cumsum(axis=1)[:, -1:]
+    else:  # bcm
+        denom = P.cumsum(axis=1)[:, -1:] + (1.0 - G.cumsum(axis=1)[:, -1:]) / prior
+    if (denom <= 0).any():
         raise InvalidInputError("variance-family denominator must be positive")
-    return [num / denom for num in numerators]
+    return N / denom
 
 
-def _tradeoff(kind: str, a: float, b: float, nu: float) -> float:
-    if kind == "linear":
-        return nu * a + (1.0 - nu) * b
-    if kind == "power":
-        return a**nu * b ** (1.0 - nu)
-    if kind == "exponential":
-        return math.exp(nu * a) + math.exp((1.0 - nu) * b)
-    return nu * math.log(a) + (1.0 - nu) * math.log(b)  # logarithmic
+def _generalized_rows(TW, sel, G, V, ids, nu: float, spec: TradeoffSpec, prior: float):
+    """Generalized trade-off weights of each row; ``ids`` names the agent of each entry.
 
-
-def _generalized_rows(TW, sel, G, V, ids, nu: float, spec: TradeoffSpec, cfg: KernelConfig):
-    """Generalized trade-off weights of each row; ``ids`` names the agent of each entry."""
-    scores = np.zeros(TW.shape)
-    for r, m in enumerate(sel):
-        row_ids = ids[r][m].tolist()
-        tw, gains, variances = (A[r][m].tolist() for A in (TW, G, V))
-        family = _family_scores(spec.variance_family, row_ids, gains, variances, cfg)
-        if spec.kind == "logarithmic":
-            for s, a, f in zip(row_ids, tw, family):
+    TW and the family scores are zero off the selection, and so are the
+    linear and power scores. The exponential and logarithmic kinds call
+    ``math.exp`` and ``math.log`` per selected entry: ``np.exp`` and
+    ``np.log`` round differently in a few values in a thousand.
+    """
+    F = _family_rows(spec.variance_family, G, V, sel, prior)
+    if spec.kind == "linear":
+        scores = nu * TW + (1.0 - nu) * F
+    elif spec.kind == "power":
+        scores = np.float_power(TW, nu) * np.float_power(F, 1.0 - nu)
+    else:
+        entries = list(zip(ids[sel].tolist(), TW[sel].tolist(), F[sel].tolist()))
+        if spec.kind == "exponential":
+            values = [math.exp(nu * a) + math.exp((1.0 - nu) * f) for _, a, f in entries]
+        else:  # logarithmic
+            for s, a, f in entries:
                 if a <= 0 or f <= 0:
                     raise InvalidInputError(
                         f"agent {s}: logarithmic trade-off needs positive arguments, "
                         f"got ({a}, {f})"
                     )
-        values = [_tradeoff(spec.kind, a, f, nu) for a, f in zip(tw, family)]
-        for s, v in zip(row_ids, values):
-            if v < 0:
-                raise InvalidInputError(
-                    f"agent {s}: trade-off score {v} is negative, weights must be nonnegative"
-                )
-        scores[r, m] = values
+            values = [nu * math.log(a) + (1.0 - nu) * math.log(f) for _, a, f in entries]
+            for (s, _, _), v in zip(entries, values):
+                if v < 0:
+                    raise InvalidInputError(
+                        f"agent {s}: trade-off score {v} is negative, weights must be nonnegative"
+                    )
+        scores = np.zeros(TW.shape)
+        scores[sel] = values
     flat = ~scores.any(axis=1)
     scores[flat] = sel[flat]
     return _normalize_rows(scores)
+
+
+def _baseline_rows(name: str, V, ids: list[int], cfg: KernelConfig) -> np.ndarray:
+    """:func:`baseline_weights` of each whole row of variances V; ``ids`` lists their agents.
+
+    The differential-entropy difference of GPOE and RBCM is half the log
+    precision gain.
+    """
+    if name == "MOE":
+        return np.full(V.shape, 1.0 / V.shape[1])
+    entries = list(zip(V.ravel().tolist(), ids))
+    for v, s in entries:
+        if v <= 0:
+            raise InvalidInputError(f"agent {s}: posterior variance must be positive")
+    G = np.ones(V.shape)  # POE, BCM
+    if name in ("GPOE", "RBCM"):
+        G = np.array([0.5 * _log_precision_gain(cfg, v, s) for v, s in entries]).reshape(V.shape)
+    family = "poe" if name in ("POE", "GPOE") else "bcm"
+    whole = np.ones(V.shape, dtype=bool)
+    return _normalize_rows(_family_rows(family, G, V, whole, cfg.prior_plus_noise))
 
 
 def _weight_inputs(tilde_w, variances, nu: float, cfg: KernelConfig):
@@ -416,7 +429,8 @@ def generalized_weights(
     arguments and scores.
     """
     ids, TW, G, V = _weight_inputs(tilde_w, variances, nu, cfg)
-    row = _generalized_rows(TW, np.ones(TW.shape, dtype=bool), G, V, np.array([ids]), nu, spec, cfg)
+    whole = np.ones(TW.shape, dtype=bool)
+    row = _generalized_rows(TW, whole, G, V, np.array([ids]), nu, spec, cfg.prior_plus_noise)
     return dict(zip(ids, row[0].tolist()))
 
 
@@ -431,19 +445,11 @@ def baseline_weights(
     """
     if method not in BASELINE_METHODS:
         raise InvalidInputError(f"unknown baseline {method!r}")
-    ids = sorted(variances)
-    if not ids:
+    if not variances:
         raise InvalidInputError("baseline weights need at least one agent")
-    if method == "MOE":
-        return {s: 1.0 / len(ids) for s in ids}
-    var = [variances[s] for s in ids]
-    if method in ("GPOE", "RBCM"):
-        gains = [0.5 * _log_precision_gain(cfg, v, s) for s, v in zip(ids, var)]
-    else:  # POE, BCM
-        gains = [1.0] * len(ids)
-    family = "poe" if method in ("POE", "GPOE") else "bcm"
-    scores = _family_scores(family, ids, gains, var, cfg)
-    return proportional_normalize(dict(zip(ids, scores)))
+    ids = sorted(variances)
+    row = _baseline_rows(method, _row(variances, ids), ids, cfg)
+    return dict(zip(ids, row[0].tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -456,18 +462,30 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
 
     ``groups`` pairs requester positions (R,) with their closed neighborhoods'
     positions in id order (R, K), so each row reduction sees the values a
-    single requester would, in its order. A requester whose neighborhood
-    holds only empty models is degenerate: its own model gives the prior
-    mean 0. Predictions sum only selected terms (a zero weight times an
-    infinite truncated mean would be NaN).
+    single requester would, in its order. A baseline weighs the classical
+    predictions of the whole neighborhood. A requester whose neighborhood
+    holds only empty models is degenerate: under an EIGP method its own
+    model gives the prior mean 0. Predictions sum only selected terms (a
+    zero weight times an infinite truncated mean would be NaN).
     """
-    k, nu = len(table.ids), method.nu
+    k, nu, baseline = len(table.ids), method.nu, method.is_baseline
     weights = np.zeros((k, k))
     selected = np.zeros((k, k), dtype=bool)
     degenerate = np.zeros(k, dtype=bool)
     some_empty = table.empty.any()
     gains, precisions, variances = np.zeros((3, k))  # read once per agent, only when selected
+    if baseline:
+        table.means = np.zeros((k, cfg.output_dim))
     for rows, cols in groups:
+        if baseline:
+            pairs = cols.ravel().tolist()
+            for p in pairs:  # each requester asks each neighbor
+                table.means[p], variances[p] = models[table.ids[p]].classical_predict(x)
+            ids = [table.ids[p] for p in pairs]
+            weights[rows[:, None], cols] = _baseline_rows(method.name, variances[cols], ids, cfg)
+            selected[rows[:, None], cols] = True
+            degenerate[rows] = table.empty[cols].all(axis=1)
+            continue
         if some_empty:
             dead = table.empty[cols].all(axis=1)
             degenerate[rows[dead]] = True
@@ -482,7 +500,7 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
             continue
         sel, gauss = _adaptive_rows(table.eps[cols], method.theta)
         w = _minmax_rows(gauss, sel)
-        if nu == 1.0:
+        if nu == 1.0 and method.tradeoff is None:
             w = _normalize_rows(w)
         else:
             wanted = np.zeros(k, dtype=bool)
@@ -493,16 +511,17 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
                     gains[p] = _log_precision_gain(cfg, var, table.ids[p])
                     precisions[p], variances[p] = 1.0 / var, var
             G = np.where(sel, gains[cols], 0.0)
+            prior = cfg.prior_plus_noise
             if method.tradeoff is None:
                 P = np.where(sel, precisions[cols], 0.0)
-                w = _aeigp_rows(w, G, P, nu, cfg.prior_plus_noise)
+                w = _aeigp_rows(w, G, P, nu, prior)
             else:
-                ids = np.array(table.ids)[cols]
-                w = _generalized_rows(w, sel, G, variances[cols], ids, nu, method.tradeoff, cfg)
+                V, ids = variances[cols], np.array(table.ids)[cols]
+                w = _generalized_rows(w, sel, G, V, ids, nu, method.tradeoff, prior)
         rows = rows[:, None]
         weights[rows, cols] = w
         selected[rows, cols] = sel
-    if degenerate.any():
+    if degenerate.any() and not baseline:
         dead = degenerate.nonzero()[0]
         weights[dead, dead] = 1.0
         selected[dead, dead] = True
@@ -530,19 +549,16 @@ def joint_predict(
     """One agent's cooperative prediction at a query point.
 
     EIGP methods select collaborators from the round table ``evaluations``
-    and combine their truncated means. The first call on a table weighs
+    and combine their truncated means; baselines combine the classical
+    predictions of the whole neighborhood. The first call on a table weighs
     every graph node in one batched pass, later calls read their row.
-    Without a table the call scores every graph node into a fresh table and
-    weighs it the same way, so it predicts what a tabled call would, but at
-    the cost of a whole round: code that predicts for every requester calls
-    :func:`eigp.sim.predict_round`, which shares one table. Baselines engage
-    the whole neighborhood with classical per-query expert predictions. If
-    every neighborhood model is empty the prior mean 0 is returned with a
-    flagged plan.
+    Without a table the call builds and weighs a fresh table the same way,
+    so it predicts what a tabled call would, but at the cost of a whole
+    round (for a baseline, every pair's classical prediction): code that
+    predicts for every requester calls :func:`eigp.sim.predict_round`,
+    which shares one table. If every neighborhood model is empty the plan
+    is flagged; it predicts the prior mean 0.
     """
-    if method.is_baseline:
-        neighborhood = graph.closed_neighborhood(requester)
-        return _baseline_predict(x, models, neighborhood, method, cfg)
     graph._check_node(requester)  # before requester - 1 indexes the table
     table = evaluations
     if table is None:
@@ -554,24 +570,6 @@ def joint_predict(
     p = requester - 1
     plan = AggregationPlan(
         table.ids, table.weights[p], _chosen(table.ids, table.selected[p]),
-        cfg.output_dim, bool(table.degenerate[p]), table,
+        cfg.output_dim, bool(table.degenerate[p]), None if method.is_baseline else table,
     )
     return table.predictions[p], plan
-
-
-def _baseline_predict(x, models, neighborhood, method, cfg):
-    d = cfg.output_dim
-    means: dict[int, np.ndarray] = {}
-    variances: dict[int, float] = {}
-    for s in neighborhood:
-        mu, var = models[s].classical_predict(x)
-        means[s] = mu
-        variances[s] = var
-    weights = baseline_weights(method.name, variances, cfg)
-    prediction = np.zeros(d)
-    for s in neighborhood:
-        prediction += weights[s] * means[s]
-    row = np.array([weights[s] for s in neighborhood])
-    degenerate = all(models[s].n == 0 for s in neighborhood)
-    plan = AggregationPlan(neighborhood, row, neighborhood, d, degenerate)
-    return prediction, plan

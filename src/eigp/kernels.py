@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,14 @@ class KernelConfig:
             raise InvalidInputError(
                 "signal_variance, lengthscale and noise_variance must all be positive and finite"
             )
+        for name in ("input_dim", "output_dim"):
+            value = getattr(self, name)
+            try:  # integers of any kind (numpy's too), but no floats, strings or bools
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidInputError("input_dim and output_dim must be >= 1")
 

@@ -203,14 +203,14 @@ def predict_round(
 ) -> tuple[dict[int, np.ndarray], dict[int, AggregationPlan], float]:
     """All agents' joint predictions at one query, with wall-clock timing.
 
-    EIGP methods score every agent once into a table that all requesters
-    share, and the first requester's call weighs every requester in one
-    batched pass; the timing covers both.
+    Every method builds one round table that all requesters share (EIGP
+    methods score every agent into it), and the first requester's call
+    weighs every requester in one batched pass; the timing covers both.
     """
     preds: dict[int, np.ndarray] = {}
     plans: dict[int, AggregationPlan] = {}
     start = time.perf_counter()
-    table = None if method.is_baseline else evaluate_round(graph.nodes, x, models, method)
+    table = evaluate_round(graph.nodes, x, models, method)
     for i in graph.nodes:
         preds[i], plans[i] = joint_predict(i, x, models, graph, method, cfg, table)
     elapsed = time.perf_counter() - start
@@ -265,6 +265,8 @@ def run_offline_toy(
     """
     if cfg.input_dim != 1 or cfg.output_dim != 1:
         raise InvalidInputError("the toy experiment is one-dimensional")
+    if query_points < 1:
+        raise InvalidInputError("the toy experiment needs at least one query point")
     rng = np.random.default_rng(seed)
     xs, ys, blocks = toy_training_data(train_points, n_agents, rng)
     models = {
@@ -297,6 +299,8 @@ def run_online(
     stream_Y = _columns(stream_Y, cfg.output_dim, "stream outputs")
     if stream_X.shape[0] != stream_Y.shape[0]:
         raise InvalidInputError("stream inputs and outputs must align")
+    if stream_X.shape[0] == 0:
+        raise InvalidInputError("a stream needs at least one row")
     models = {i: AgentModel(cfg) for i in graph.nodes}
     return _run(models, graph, method, cfg, stream_X, stream_Y, bounds, window, schedule)
 

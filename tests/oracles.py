@@ -136,7 +136,7 @@ def _chol_delete(L: np.ndarray, k: int) -> np.ndarray:
 
 
 def joint_predict_per_requester(requester, x, models, graph, method, cfg):
-    """One requester's EIGP prediction through dicts of scalars, one agent at a time.
+    """One requester's prediction through dicts of scalars, one agent at a time.
 
     The selection and weight pipeline the library ran per requester before
     it weighed every requester of a round in one batched pass. Returns the
@@ -145,6 +145,8 @@ def joint_predict_per_requester(requester, x, models, graph, method, cfg):
     """
     d = cfg.output_dim
     neighborhood = graph.closed_neighborhood(requester)
+    if method.is_baseline:
+        return _baseline_predict(x, models, neighborhood, method, cfg)
     evaluations = {s: score_and_approx_mean(models[s], x, method.rho_policy) for s in neighborhood}
     eps = {s: evaluations[s][0].epsilon for s in neighborhood}
     degenerate = all(models[s].n == 0 for s in neighborhood)
@@ -156,7 +158,7 @@ def joint_predict_per_requester(requester, x, models, graph, method, cfg):
     else:
         selected, phi = _adaptive_select(eps, method.theta)
         tilde_w = _error_weights(_gaussianize_epsilon(eps), phi)
-        if method.nu == 1.0:
+        if method.nu == 1.0 and method.tradeoff is None:
             weights = _proportional_normalize(tilde_w)
         else:
             variances = {s: models[s].posterior_var(x) for s in selected}
@@ -171,6 +173,20 @@ def joint_predict_per_requester(requester, x, models, graph, method, cfg):
     for s in selected:
         prediction += tiled[s] * evaluations[s][1]
     return prediction, selected, tiled, degenerate
+
+
+def _baseline_predict(x, models, neighborhood, method, cfg):
+    """Every neighbor's classical prediction, weighed by the baseline's rule."""
+    d = cfg.output_dim
+    means, variances = {}, {}
+    for s in neighborhood:
+        means[s], variances[s] = models[s].classical_predict(x)
+    weights = _baseline_weights(method.name, variances, cfg)
+    prediction = np.zeros(d)
+    for s in neighborhood:
+        prediction += weights[s] * means[s]
+    degenerate = all(models[s].n == 0 for s in neighborhood)
+    return prediction, neighborhood, _tile(weights, d), degenerate
 
 
 def _tile(weights, d):
@@ -270,6 +286,9 @@ def _aeigp_weights(tilde_w, variances, nu, cfg):
 
 def _family_scores(family, gains, variances, cfg):
     ids = sorted(variances)
+    for s in ids:
+        if variances[s] <= 0:
+            raise InvalidInputError(f"agent {s}: posterior variance must be positive")
     precisions = {s: 1.0 / variances[s] for s in ids}
     numerators = {s: gains[s] * precisions[s] for s in ids}
     if family == "poe":
@@ -306,3 +325,15 @@ def _generalized_weights(tilde_w, variances, nu, spec, cfg):
     if all(v == 0.0 for v in scores.values()):
         scores = {s: 1.0 for s in ids}
     return _proportional_normalize(scores)
+
+
+def _baseline_weights(method, variances, cfg):
+    ids = sorted(variances)
+    if method == "MOE":
+        return {s: 1.0 / len(ids) for s in ids}
+    if method in ("GPOE", "RBCM"):
+        gains = {s: 0.5 * _log_precision_gain(cfg, variances[s], s) for s in ids}
+    else:  # POE, BCM
+        gains = {s: 1.0 for s in ids}
+    family = "poe" if method in ("POE", "GPOE") else "bcm"
+    return _proportional_normalize(_family_scores(family, gains, variances, cfg))

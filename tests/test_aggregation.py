@@ -29,8 +29,9 @@ from eigp import (
     predict_round,
     proportional_normalize,
 )
-from eigp.aggregation import _row_std
-from eigp.quality import RhoPolicy
+from eigp.aggregation import BASELINE_METHODS, _row_std
+from eigp.quality import RhoPolicy, score_and_approx_mean
+from eigp.sim import toy_training_data
 import oracles
 
 CFG = KernelConfig(signal_variance=1.0, lengthscale=0.5, noise_variance=0.25)
@@ -502,6 +503,7 @@ def round_models(rng, cfg, sizes):
 
 
 def round_methods():
+    yield from (MethodSpec(name) for name in BASELINE_METHODS)
     yield MethodSpec("gEIGP")
     for theta in (0.0, 0.25, 1.0, 4.0):
         for nu in (0.0, 0.5, 1.0):
@@ -566,11 +568,62 @@ def test_batched_round_matches_per_requester_oracle(graph_name, d):
     assert raised and set(raised) == {"logarithmic"}
 
 
+@pytest.mark.parametrize("graph_name", list(ROUND_GRAPHS))
+def test_clamped_baseline_round_raises_like_the_oracle(monkeypatch, graph_name):
+    cfg = KernelConfig(signal_variance=1.0, lengthscale=0.3, noise_variance=0.1)
+    models = round_models(np.random.default_rng(5), cfg, [8, 0, 12, 0, 10])
+    monkeypatch.setattr(AgentModel, "_variance", clamp_every_variance)
+    for name in BASELINE_METHODS:
+        # MOE reads no variance; every other baseline raises on both sides
+        method = MethodSpec(name)
+        matched = assert_round_matches_oracle(models, ROUND_GRAPHS[graph_name], [0.4], method, cfg)
+        assert matched == (name == "MOE")
+
+
+def dict_generalized_weights(models, graph, requester, x, method):
+    """The requester's trade-off weights through the dict helpers."""
+    eps = {
+        s: score_and_approx_mean(models[s], x, method.rho_policy)[0].epsilon
+        for s in graph.closed_neighborhood(requester)
+    }
+    selected, phi = adaptive_select(eps, method.theta)
+    tilde_w = error_weights(gaussianize_epsilon(eps), phi)
+    variances = {s: models[s].posterior_var(x) for s in selected}
+    return generalized_weights(tilde_w, variances, method.nu, method.tradeoff, CFG)
+
+
+@pytest.mark.parametrize("family", ["poe", "bcm"])
+@pytest.mark.parametrize("kind", ["linear", "power", "exponential", "logarithmic"])
+def test_nu_one_tradeoff_round_weighs_as_generalized_weights(kind, family):
+    # nu = 1 reduces aEIGP to the normalized error weights, but a trade-off
+    # still weighs them against the variance family's scores
+    xs, ys, blocks = toy_training_data(80, 4, np.random.default_rng(3))
+    models = {
+        i: AgentModel.from_data(CFG, xs[b][:, None], ys[b][:, None])
+        for i, b in enumerate(blocks, start=1)
+    }
+    x = [0.1]
+    method = MethodSpec("aEIGP", nu=1.0, theta=4.0, tradeoff=TradeoffSpec(kind, family))
+    for graph in (fully_connected(4), Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])):
+        try:
+            expected = {
+                i: dict_generalized_weights(models, graph, i, x, method) for i in graph.nodes
+            }
+        except InvalidInputError:
+            assert kind == "logarithmic"  # the lowest error weight is 0, which has no logarithm
+            with pytest.raises(InvalidInputError, match="logarithmic"):
+                predict_round(models, graph, x, method, CFG)
+            continue
+        plans = predict_round(models, graph, x, method, CFG)[1]
+        for i in graph.nodes:
+            assert {s: w.item(0) for s, w in plans[i].weights.items()} == expected[i]
+
+
 def test_row_kernels_match_dict_oracle_bit_for_bit():
     # numpy's square, sqrt and SIMD power differ from Python's ** in about
     # 0.1% of values; thousands of random rows make such a slip show
     rng = np.random.default_rng(12)
-    for _ in range(1500):
+    for i in range(1500):
         k = int(rng.integers(1, 9))
         scores = {s: float(v) for s, v in enumerate(rng.uniform(0.0, 3.0, k) ** 3, start=1)}
         theta, nu = float(rng.choice([0.0, 0.25, 1.0, 4.0])), float(rng.uniform(0.0, 1.0))
@@ -586,6 +639,10 @@ def test_row_kernels_match_dict_oracle_bit_for_bit():
         spec = TradeoffSpec("power", str(rng.choice(["poe", "bcm"])))
         assert generalized_weights(tilde_w, variances, nu, spec, CFG) == (
             oracles._generalized_weights(tilde_w, variances, nu, spec, CFG)
+        )
+        name = BASELINE_METHODS[i % len(BASELINE_METHODS)]
+        assert baseline_weights(name, variances, CFG) == (
+            oracles._baseline_weights(name, variances, CFG)
         )
 
 

@@ -390,6 +390,32 @@ def test_toy_draws_need_one_dimension(tmp_path, capsys, overrides, source):
         ExperimentConfig.from_json(path)
 
 
+@pytest.mark.parametrize(
+    "overrides, dim",
+    [
+        ({"kernel": {"output_dim": 1.0}}, "output_dim"),
+        ({"kernel": {"input_dim": True}}, "input_dim"),
+        ({"scenario": "stream", "steps": 20, "kernel": {"input_dim": 2.0}}, "input_dim"),
+    ],
+    ids=["toy float", "toy bool", "stream float"],
+)
+def test_kernel_dimensions_must_be_integers(tmp_path, capsys, overrides, dim):
+    # 1.0 == 1 passed the one-dimension check, then the run failed with a
+    # TypeError deep in numpy; a float input_dim broke the dataset loader
+    if overrides.get("scenario") == "stream":
+        data = tmp_path / "plane.csv"
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(20, 2))
+        write_dataset(data, X, X[:, :1] * X[:, 1:])
+        overrides = {**overrides, "dataset": str(data)}
+    path = write_config(tmp_path, **overrides)
+    for argv in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*argv, "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and f"{dim} must be an integer" in lines[0]
+    with pytest.raises(ConfigError, match="must be an integer"):
+        ExperimentConfig.from_json(path)
+
+
 def test_stream_dataset_sets_its_own_dimensions(tmp_path, capsys):
     data = tmp_path / "plane.csv"
     rng = np.random.default_rng(9)

@@ -62,6 +62,11 @@ def test_config_validation():
         KernelConfig(noise_variance=0.0)
     with pytest.raises(InvalidInputError):
         KernelConfig(input_dim=0)
+    for dims in ({"output_dim": 1.0}, {"input_dim": 2.0}, {"input_dim": True}, {"output_dim": "1"}):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            KernelConfig(**dims)
+    cfg = KernelConfig(input_dim=np.int64(2), output_dim=np.int32(3))
+    assert (type(cfg.input_dim), type(cfg.output_dim)) == (int, int)
 
 
 def test_gram_matches_scalar_oracle():

@@ -75,7 +75,10 @@ def test_every_named_per_query_function_exists():
     found = _per_query_functions()
     assert PER_QUERY <= set(found)
     rows_kernels = {name for module, name in found if name.endswith("_rows")}
-    assert {"_adaptive_rows", "_minmax_rows", "_normalize_rows", "_aeigp_rows"} <= rows_kernels
+    assert {
+        "_adaptive_rows", "_minmax_rows", "_normalize_rows", "_aeigp_rows", "_family_rows",
+        "_generalized_rows", "_baseline_rows",
+    } <= rows_kernels
 
 
 def test_per_query_functions_call_no_numpy_wrapper():

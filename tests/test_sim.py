@@ -392,3 +392,18 @@ def test_run_online_takes_a_1d_stream_as_one_column():
     assert len(flat.records) == 30
     for a, b in zip(flat.records, columns.records):
         assert all(np.array_equal(a.predictions[i], b.predictions[i]) for i in a.predictions)
+
+
+def test_empty_runs_are_rejected_before_any_model_is_built(monkeypatch):
+    # a run without a round has no metric: its summary would average an empty list
+    def no_models(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(AgentModel, "__init__", no_models)
+    monkeypatch.setattr(AgentModel, "from_data", no_models)
+    with pytest.raises(InvalidInputError, match="at least one query point"):
+        run_offline_toy(CFG, MethodSpec("gEIGP"), train_points=40, query_points=0)
+    none = np.zeros((0, 1))
+    for method in (MethodSpec("gEIGP"), MethodSpec("MOE")):
+        with pytest.raises(InvalidInputError, match="at least one row"):
+            run_online(CFG, method, fully_connected(2), none, none, StreamSchedule())

@@ -35,7 +35,7 @@ from .bounds import (
     lambda_factor,
     tilde_eta,
 )
-from .config import BoundConfig, ExperimentConfig
+from .config import ExperimentConfig
 from .datasets import Dataset, load_dataset, toy_stream, write_dataset
 from .errors import (
     ComparisonError,

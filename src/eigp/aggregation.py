@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .graph import Graph
-from .kernels import KernelConfig
+from .kernels import KernelConfig, as_real
 from .model import AgentModel
 from .quality import QualityScore, RhoPolicy, score_and_approx_mean
 
@@ -71,9 +71,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in ALL_METHODS:
             raise InvalidInputError(f"unknown method {self.name!r}, expected one of {ALL_METHODS}")
-        if not 0.0 <= self.nu <= 1.0:
+        if not 0.0 <= as_real("nu", self.nu) <= 1.0:
             raise InvalidInputError("nu must lie in [0, 1]")
-        if not self.theta >= 0:  # NaN too
+        if not as_real("theta", self.theta) >= 0:  # NaN too
             raise InvalidInputError("theta must be nonnegative")
 
     @property

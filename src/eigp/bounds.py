@@ -9,12 +9,12 @@ aggregated multi-agent prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, InvalidInputError
-from .kernels import KernelConfig
+from .kernels import KernelConfig, as_real
 from .model import AgentModel
 from .quality import IndexSelection
 
@@ -79,45 +79,29 @@ def delta_x(d: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Confidence parameters plus the derived beta and lambda constants.
+    """The run's bound constants beta and lambda, plus what the failure levels
+    read: the confidence levels delta and delta_n and the output dimension."""
 
-    ``lower``/``upper`` bound the input domain per dimension; ``beta`` and
-    ``lam`` are computed once at construction since they depend only on
-    constants of the run.
-    """
-
-    tau: float
+    beta: float
+    lam: float
     delta: float
     delta_n: float
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    beta: float = field(init=False)
-    lam: float = field(init=False)
-    kappa0: float = 1.0
-    noise_std: float = 0.0
-    output_dim: int = 1
-
-    def __post_init__(self):
-        beta = beta_delta(self.tau, self.delta, self.lower, self.upper)
-        lam = lambda_factor(self.output_dim, beta, self.kappa0, self.noise_std, self.delta_n)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "lam", lam)
+    output_dim: int
 
     @classmethod
     def for_kernel(cls, cfg: KernelConfig, tau, delta, delta_n, lower, upper) -> "BoundParams":
-        lower, upper = (tuple(float(v) for v in np.atleast_1d(end)) for end in (lower, upper))
+        """beta over the box ``lower``..``upper`` (one entry per input dimension), then lambda."""
+        tau, delta, delta_n = as_real("tau", tau), as_real("delta", delta), as_real("delta_n", delta_n)
+        lower, upper = (
+            tuple(as_real("box end", v) for v in np.atleast_1d(np.asarray(end, dtype=object)))
+            for end in (lower, upper)
+        )
         if not len(lower) == len(upper) == cfg.input_dim:
             raise InvalidInputError(f"the box needs {cfg.input_dim} entries, got {len(lower)}")
-        return cls(
-            tau=tau,
-            delta=delta,
-            delta_n=delta_n,
-            lower=lower,
-            upper=upper,
-            kappa0=cfg.kappa0,
-            noise_std=math.sqrt(cfg.noise_variance),
-            output_dim=cfg.output_dim,
-        )
+        beta = beta_delta(tau, delta, lower, upper)
+        noise_std = math.sqrt(cfg.noise_variance)
+        lam = lambda_factor(cfg.output_dim, beta, cfg.kappa0, noise_std, delta_n)
+        return cls(beta, lam, delta, delta_n, cfg.output_dim)
 
     def delta_rho(self, n: int) -> float:
         return delta_rho(n, self.output_dim, self.delta, self.delta_n)

@@ -8,13 +8,13 @@ never leaves a partially written file behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .bounds import BoundParams
 from .config import ExperimentConfig
 from .datasets import load_dataset, toy_stream, write_dataset
 from .errors import ComparisonError, EigpError, InvalidInputError
@@ -83,19 +83,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["method"] = args.method
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
-    return config
-
-
-def _build_bounds(config: ExperimentConfig, dataset) -> BoundParams | None:
-    if config.bounds is None:
-        return None
-    cfg = config.kernel_config()
-    lower, upper = ([end] * cfg.input_dim for end in TOY_INTERVAL)
-    if dataset is not None:
-        lower, upper = dataset.lower, dataset.upper
-    return config.bounds.params(cfg, lower, upper)
+    return dataclasses.replace(config, **overrides)  # validated again
 
 
 def _execute(config: ExperimentConfig) -> tuple:
@@ -106,7 +94,7 @@ def _execute(config: ExperimentConfig) -> tuple:
             dataset = load_dataset(config.dataset, cfg.input_dim, cfg.output_dim)
         else:
             dataset = toy_stream(config.steps, np.random.default_rng(config.seed))
-    bounds = _build_bounds(config, dataset)
+    bounds = config.bound_params(dataset)
     method = config.method_spec()
 
     if config.scenario == "toy":
@@ -212,9 +200,10 @@ def cmd_gen_toy(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.grid:
         xs = np.linspace(*TOY_INTERVAL, args.rows)
+        write_dataset(args.out, xs[:, None], toy_function(xs, rng)[:, None])
     else:
-        xs = rng.uniform(*TOY_INTERVAL, size=args.rows)
-    write_dataset(args.out, xs[:, None], toy_function(xs, rng)[:, None])
+        data = toy_stream(args.rows, rng)
+        write_dataset(args.out, data.X, data.Y)
     print(f"wrote {args.rows} rows to {args.out}")
     return 0
 

@@ -11,11 +11,12 @@ from .errors import ConfigError, InvalidInputError
 from .graph import build_graph
 from .kernels import KernelConfig
 from .quality import RhoPolicy
-from .sim import StreamSchedule
+from .sim import TOY_INTERVAL, StreamSchedule
 
 SCENARIOS = ("toy", "stream")
 _INT_FIELDS = ("seed", "agents", "capacity", "train_points", "query_points", "steps", "window")
 
+# the two JSON object blocks: each is merged over its defaults
 _DEFAULT_KERNEL = {
     "signal_variance": 1.0,
     "lengthscale": 0.2,
@@ -23,20 +24,7 @@ _DEFAULT_KERNEL = {
     "input_dim": 1,
     "output_dim": 1,
 }
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    tau: float = 0.1
-    delta: float = 0.05
-    delta_n: float = 0.05
-    box: tuple[tuple[float, float], ...] | None = None  # default: dataset min/max
-
-    def params(self, cfg: KernelConfig, lower, upper) -> BoundParams:
-        """The run's bound constants over the configured box, else over ``lower``/``upper``."""
-        if self.box is not None:
-            lower, upper = [pair[0] for pair in self.box], [pair[1] for pair in self.box]
-        return BoundParams.for_kernel(cfg, self.tau, self.delta, self.delta_n, lower, upper)
+_DEFAULT_BOUNDS = {"tau": 0.1, "delta": 0.05, "delta_n": 0.05, "box": None}  # see bound_params
 
 
 @dataclass(frozen=True)
@@ -53,9 +41,9 @@ class ExperimentConfig:
     variance_family: str = "bcm"
     agents: int = 4
     graph: object = "full"  # "full" or list of [a, b] edges
-    kernel: dict = field(default_factory=lambda: dict(_DEFAULT_KERNEL))
+    kernel: dict = field(default_factory=dict)
     capacity: int = 100
-    bounds: BoundConfig | None = None
+    bounds: dict | None = None  # None: the run computes no bounds
     seed: int = 0
     dataset: str | None = None
     train_points: int = 400
@@ -81,14 +69,21 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if self.variance_family not in VARIANCE_FAMILIES:
             raise ConfigError(f"variance_family must be one of {VARIANCE_FAMILIES}")
+        object.__setattr__(self, "kernel", _merged("kernel", self.kernel, _DEFAULT_KERNEL))
         cfg = self.kernel_config()  # validates kernel ranges
         try:  # the method's, the rho policy's, the schedule's and the bounds' own rules
             rho_policy = self.method_spec().rho_policy
             if rho_policy.kind == "constant":
                 rho_policy.constant_rho(cfg.kappa0)
             StreamSchedule(self.schedule, self.capacity)
-            if self.bounds is not None:  # without a box, a zero-width one checks the rest
-                self.bounds.params(cfg, [0.0] * cfg.input_dim, [0.0] * cfg.input_dim)
+            if self.bounds is not None:
+                bounds = _merged("bounds", self.bounds, _DEFAULT_BOUNDS)
+                if bounds["box"] is not None:  # tuples, as graph edges, whatever JSON gave
+                    bounds["box"] = tuple(map(tuple, bounds["box"]))
+                    if any(len(pair) != 2 for pair in bounds["box"]):
+                        raise ConfigError("box must list one [lower, upper] pair per input dimension")
+                object.__setattr__(self, "bounds", bounds)
+                self.bound_params()  # without a dataset's box, over the toy interval
         except (InvalidInputError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
         build_graph(self.graph, self.agents)  # validates the edge list
@@ -107,8 +102,25 @@ class ExperimentConfig:
     def kernel_config(self) -> KernelConfig:
         try:
             return KernelConfig(**self.kernel)
-        except (TypeError, ValueError) as exc:
+        except InvalidInputError as exc:
             raise ConfigError(f"bad kernel block: {exc}") from None
+
+    def bound_params(self, dataset=None) -> BoundParams | None:
+        """The run's bound constants, or None without a ``bounds`` block.
+
+        The box is the configured one, else the dataset's observed input
+        box, else the toy interval in every input dimension.
+        """
+        if self.bounds is None:
+            return None
+        cfg, b = self.kernel_config(), self.bounds
+        if b["box"] is not None:
+            lower, upper = [pair[0] for pair in b["box"]], [pair[1] for pair in b["box"]]
+        elif dataset is not None:
+            lower, upper = dataset.lower, dataset.upper
+        else:
+            lower, upper = ([end] * cfg.input_dim for end in TOY_INTERVAL)
+        return BoundParams.for_kernel(cfg, b["tau"], b["delta"], b["delta_n"], lower, upper)
 
     def method_spec(self) -> MethodSpec:
         tradeoff = None
@@ -127,41 +139,21 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.bounds is not None:
-            out["bounds"] = asdict(self.bounds)
-            if self.bounds.box is not None:
-                out["bounds"]["box"] = [list(pair) for pair in self.bounds.box]
-        if isinstance(self.graph, tuple):
-            out["graph"] = [list(edge) for edge in self.graph]
-        return out
+        return asdict(self)  # json.dumps writes the tuples of graph and box as lists
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(raw)
-        try:
-            if data.get("bounds") is not None:
-                bounds_raw = data["bounds"]
-                if not isinstance(bounds_raw, dict):
-                    raise ConfigError("bounds must be an object")
-                bad = set(bounds_raw) - set(BoundConfig.__dataclass_fields__)
-                if bad:
-                    raise ConfigError(f"unknown bounds keys: {sorted(bad)}")
-                box = bounds_raw.get("box")
-                if box is not None:
-                    box = tuple((float(lo), float(hi)) for lo, hi in box)
-                values = {k: float(v) for k, v in bounds_raw.items() if k != "box"}
-                data["bounds"] = BoundConfig(**values, box=box)
-            if isinstance(data.get("graph"), list):
+        if isinstance(data.get("graph"), list):
+            try:
                 data["graph"] = tuple(_edge(edge) for edge in data["graph"])
-        except (TypeError, ValueError) as exc:  # a ConfigError is a ValueError too
-            raise ConfigError(f"bad bounds or graph: {exc}") from None
+            except (TypeError, ValueError) as exc:  # a ConfigError is a ValueError too
+                raise ConfigError(f"bad graph: {exc}") from None
         try:
             return cls(**data)
         except TypeError as exc:
@@ -177,6 +169,16 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         return cls.from_dict(raw)
+
+
+def _merged(name: str, block, defaults: dict) -> dict:
+    """A JSON object block over its defaults; an unknown key is an error."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object, got {block!r}")
+    unknown = set(block) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return {**defaults, **block}
 
 
 def _edge(edge) -> tuple[int, int]:

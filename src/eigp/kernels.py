@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -32,8 +33,8 @@ class KernelConfig:
     output_dim: int = 1
 
     def __post_init__(self):
-        hyper = (self.signal_variance, self.lengthscale, self.noise_variance)
-        if not all(0 < v < math.inf for v in hyper):
+        names = ("signal_variance", "lengthscale", "noise_variance")
+        if not all(0 < as_real(name, getattr(self, name)) < math.inf for name in names):
             raise InvalidInputError(
                 "signal_variance, lengthscale and noise_variance must all be positive and finite"
             )
@@ -57,6 +58,13 @@ class KernelConfig:
     def prior_plus_noise(self) -> float:
         """kappa(0) + noise variance, the largest admissible posterior variance."""
         return self.signal_variance + self.noise_variance
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a float: a real number of any kind, but no bool or string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def as_input(cfg: KernelConfig, x) -> np.ndarray:

@@ -12,13 +12,12 @@ evaluation across agents and queries is safe.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import as_input, kernel_vec
+from .kernels import as_input, as_real, kernel_vec
 from .model import AgentModel
 
 RHO_KINDS = ("constant", "mean", "median", "min")
@@ -34,8 +33,7 @@ class RhoPolicy:
     def __post_init__(self):
         if self.kind not in RHO_KINDS:
             raise InvalidInputError(f"unknown rho policy {self.kind!r}, expected one of {RHO_KINDS}")
-        finite = isinstance(self.value, numbers.Real) and math.isfinite(self.value)
-        if self.kind == "constant" and not finite:
+        if self.kind == "constant" and not math.isfinite(as_real("rho_value", self.value)):
             raise InvalidInputError(f"constant rho policy needs a finite value, got {self.value!r}")
         if self.kind != "constant" and self.value is not None:
             raise InvalidInputError(f"rho policy {self.kind!r} takes no value")
@@ -115,8 +113,8 @@ def score_and_approx_mean(
     so selection scores at lam = 1 and the bounds divide by the certified
     lam. An empty model yields the infinity sentinel and the prior mean 0.
     """
-    x = as_input(model.cfg, x)
-    if model.n == 0:
+    if model.n == 0:  # kernel_vec checks the query of a filled model
+        as_input(model.cfg, x)
         idx = IndexSelection(np.zeros(0, dtype=int), 0.0, np.zeros(0))
         return QualityScore(math.inf, idx), np.zeros(model.cfg.output_dim)
     idx = select_indices(model, x, policy)

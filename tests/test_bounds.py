@@ -161,3 +161,21 @@ def test_bound_params_derives_constants_once():
         lambda_factor(1, params.beta, 2.0, 0.5, 0.05), rel=1e-14
     )
     assert 0.0 < params.delta_rho(1) < 1.0
+
+
+@pytest.mark.parametrize(
+    "cfg, lower, upper",
+    [
+        (KernelConfig(signal_variance=2.0, lengthscale=0.5, noise_variance=0.25), -1.2, 1.2),
+        (KernelConfig(noise_variance=0.3, output_dim=3), [-1], [2]),
+        (KernelConfig(input_dim=2, output_dim=2), np.array([-1.0, 0.5]), np.array([1.0, 0.75])),
+    ],
+    ids=["scalar ends", "integer ends", "2-D box"],
+)
+def test_bound_params_holds_beta_and_lambda_byte_for_byte(cfg, lower, upper):
+    params = BoundParams.for_kernel(cfg, tau=0.1, delta=0.05, delta_n=0.02, lower=lower, upper=upper)
+    ends = [tuple(float(v) for v in np.atleast_1d(end)) for end in (lower, upper)]
+    beta = beta_delta(0.1, 0.05, *ends)
+    lam = lambda_factor(cfg.output_dim, beta, cfg.kappa0, math.sqrt(cfg.noise_variance), 0.02)
+    # == on finite nonzero floats is equality of their bytes
+    assert params == BoundParams(beta, lam, delta=0.05, delta_n=0.02, output_dim=cfg.output_dim)

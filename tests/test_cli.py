@@ -16,6 +16,7 @@ from eigp import (
     InvalidInputError,
     load_dataset,
     toy_function,
+    toy_stream,
     write_dataset,
 )
 from eigp.cli import cmd_compare, cmd_validate_config, main
@@ -259,7 +260,7 @@ def test_validate_config_rejects_non_integer_edges(tmp_path, capsys, graph, edge
     path = write_config(tmp_path, scenario="stream", steps=20, graph=graph)
     assert main(["validate-config", "--config", str(path)]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert lines == [f"error: bad bounds or graph: graph edge {edge}: node ids must be integers"]
+    assert lines == [f"error: bad graph: graph edge {edge}: node ids must be integers"]
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(path)
 
@@ -292,6 +293,7 @@ def test_toy_config_rejects_a_graph_it_would_not_use(tmp_path, capsys):
         {"rho_policy": "constant", "rho_value": "x"},
         {"scenario": "stream", "dataset": 7},
         {"out_dir": 5},
+        {"kernel": [1.0, 0.2]},
     ],
     ids=lambda overrides: json.dumps(overrides),
 )
@@ -334,8 +336,14 @@ def test_run_rejects_an_infinite_kernel_hyperparameter(tmp_path, capsys):
         ({"box": [[-1.0, 1.0], [0.0, 1.0]]}, "needs 1 entries, got 2"),
         ({"tau": math.nan}, "tau must be positive"),
         ({"box": [[math.nan, 1.0]]}, "must not be below lower"),
+        ([0.1, 0.05], "bounds must be an object"),
+        ({"box": [[-1.0, 0.0, 1.0]]}, "one [lower, upper] pair per input dimension"),
+        ({"box": [[-1.0]]}, "one [lower, upper] pair per input dimension"),
     ],
-    ids=["tau", "delta", "delta_n", "inverted box", "box length", "NaN tau", "NaN box"],
+    ids=[
+        "tau", "delta", "delta_n", "inverted box", "box length", "NaN tau", "NaN box",
+        "not an object", "box triple", "box single",
+    ],
 )
 def test_validate_config_checks_bound_settings(tmp_path, capsys, bounds, message):
     # a bound setting the run cannot use fails validation, not only the run
@@ -430,3 +438,78 @@ def test_stream_dataset_sets_its_own_dimensions(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["iterations"] == 30
+
+
+def test_a_partial_kernel_block_runs_the_default_kernel(tmp_path):
+    # {"input_dim": 1} used to run with KernelConfig's own lengthscale 1.0 and noise 0.1
+    runs = {}
+    for name, kernel in (("partial", {"input_dim": 1}), ("default", None)):
+        overrides = {"kernel": kernel} if kernel else {}
+        path = write_config(tmp_path, name=f"{name}.json", **overrides)
+        out = tmp_path / name
+        assert main(["run", "--config", str(path), "--out", str(out), "--no-timing"]) == 0
+        runs[name] = out
+    echoed = json.loads((runs["partial"] / "summary.json").read_text())["config"]["kernel"]
+    assert echoed == {
+        "signal_variance": 1.0,
+        "lengthscale": 0.2,
+        "noise_variance": 0.25,
+        "input_dim": 1,
+        "output_dim": 1,
+    }
+    metrics = [(out / "metrics.csv").read_bytes() for out in runs.values()]
+    assert metrics[0] == metrics[1]
+
+
+def test_a_partial_bounds_block_round_trips_through_the_summary(tmp_path):
+    path = write_config(tmp_path, method="aEIGP", bounds={"delta": 0.1})
+    out = tmp_path / "bounded"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    config = ExperimentConfig.from_json(path)
+    echoed = json.loads((out / "summary.json").read_text())["config"]
+    assert echoed["bounds"] == {"tau": 0.1, "delta": 0.1, "delta_n": 0.05, "box": None}
+    assert ExperimentConfig.from_dict(echoed) == config
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"nu": True}, "nu must be a number, got True"),
+        ({"nu": "0.5"}, "nu must be a number, got '0.5'"),
+        ({"theta": True}, "theta must be a number, got True"),
+        ({"rho_policy": "constant", "rho_value": True}, "rho_value must be a number, got True"),
+        ({"kernel": {"lengthscale": True}}, "lengthscale must be a number, got True"),
+        ({"bounds": {"tau": "0.1"}}, "tau must be a number, got '0.1'"),
+        ({"bounds": {"delta_n": False}}, "delta_n must be a number, got False"),
+        ({"bounds": {"box": [["-1", "1"]]}}, "box end must be a number, got '-1'"),
+    ],
+    ids=["nu bool", "nu string", "theta bool", "rho_value bool", "lengthscale bool",
+         "tau string", "delta_n bool", "box string"],
+)
+def test_bools_and_strings_are_not_numbers(tmp_path, capsys, overrides, message):
+    # JSON true ran as 1, and from_dict's float() read "0.1" as 0.1
+    path = write_config(tmp_path, method="aEIGP", **overrides)
+    for argv in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*argv, "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not (tmp_path / "run" / "summary.json").exists()
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(path)
+
+
+def test_gen_toy_writes_the_toy_stream(tmp_path):
+    out = tmp_path / "uniform.csv"
+    assert main(["gen-toy", "--out", str(out), "--rows", "40", "--seed", "4"]) == 0
+    data = toy_stream(40, np.random.default_rng(4))
+    write_dataset(tmp_path / "stream.csv", data.X, data.Y)
+    assert out.read_bytes() == (tmp_path / "stream.csv").read_bytes()
+
+
+def test_an_unknown_method_override_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x"), "--method", "XYZ"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown method 'XYZ'")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0")

@@ -3,12 +3,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from eigp import ConfigError, ExperimentConfig, InvalidInputError
+from eigp import (
+    ConfigError,
+    ExperimentConfig,
+    InvalidInputError,
+    KernelConfig,
+    beta_delta,
+    toy_stream,
+)
 from eigp.aggregation import MethodSpec
-from eigp.config import BoundConfig
+from eigp.bounds import BoundParams
 from eigp.quality import RhoPolicy
+from eigp.sim import TOY_INTERVAL
 
 
 def test_defaults_are_valid():
@@ -27,7 +36,7 @@ def test_round_trip_equality():
         agents=3,
         graph=((1, 2), (2, 3)),
         capacity=50,
-        bounds=BoundConfig(tau=0.2, delta=0.1, delta_n=0.1, box=((-1.0, 1.0),)),
+        bounds={"tau": 0.2, "delta": 0.1, "delta_n": 0.1, "box": ((-1.0, 1.0),)},
         seed=9,
         steps=200,
     )
@@ -100,3 +109,60 @@ def test_method_spec_and_rho_policy_reject_nan_directly():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError, match="finite"):
             RhoPolicy("constant", value)
+
+
+def test_a_partial_bounds_block_fills_the_defaults_and_round_trips():
+    config = ExperimentConfig(method="aEIGP", bounds={"tau": 1, "box": [[-1, 1]]})
+    assert config.bounds == {"tau": 1, "delta": 0.05, "delta_n": 0.05, "box": ((-1, 1),)}
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def test_the_box_is_the_configured_one_then_the_dataset_s_then_the_toy_interval():
+    tau, delta = 0.1, 0.05
+    dataset = toy_stream(30, np.random.default_rng(2))
+    configured = ExperimentConfig(bounds={"box": [[-3.0, 2.0]]})
+    unboxed = ExperimentConfig(bounds={})
+    betas = {
+        "configured": configured.bound_params(dataset).beta,
+        "dataset": unboxed.bound_params(dataset).beta,
+        "toy": unboxed.bound_params().beta,
+    }
+    assert betas == {
+        "configured": beta_delta(tau, delta, [-3.0], [2.0]),
+        "dataset": beta_delta(tau, delta, dataset.lower, dataset.upper),
+        "toy": beta_delta(tau, delta, [TOY_INTERVAL[0]], [TOY_INTERVAL[1]]),
+    }
+    assert len(set(betas.values())) == 3
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: KernelConfig(lengthscale=True), "lengthscale"),
+        (lambda: KernelConfig(noise_variance="0.25"), "noise_variance"),
+        (lambda: MethodSpec("aEIGP", nu=True), "nu"),
+        (lambda: MethodSpec("aEIGP", nu="0.5"), "nu"),
+        (lambda: MethodSpec("aEIGP", theta=True), "theta"),
+        (lambda: RhoPolicy("constant", True), "rho_value"),
+        (lambda: BoundParams.for_kernel(KernelConfig(), "0.1", 0.05, 0.05, -1.0, 1.0), "tau"),
+        (lambda: BoundParams.for_kernel(KernelConfig(), 0.1, True, 0.05, -1.0, 1.0), "delta"),
+        (lambda: BoundParams.for_kernel(KernelConfig(), 0.1, 0.05, False, -1.0, 1.0), "delta_n"),
+        (lambda: BoundParams.for_kernel(KernelConfig(), 0.1, 0.05, 0.05, ["-1"], [1.0]), "box end"),
+        (lambda: BoundParams.for_kernel(KernelConfig(), 0.1, 0.05, 0.05, [-1.0], [True]), "box end"),
+    ],
+    ids=[
+        "lengthscale bool", "noise string", "nu bool", "nu string", "theta bool", "rho bool",
+        "tau string", "delta bool", "delta_n bool", "box string", "box bool",
+    ],
+)
+def test_bools_and_strings_are_not_numbers(make, field):
+    with pytest.raises(InvalidInputError, match=f"^{field} must be a number"):
+        make()
+
+
+def test_numpy_numbers_are_numbers():
+    cfg = KernelConfig(lengthscale=np.float64(0.2), noise_variance=np.int64(1))
+    MethodSpec("aEIGP", nu=np.float32(0.5), theta=np.int64(2))
+    RhoPolicy("constant", np.float64(0.05))
+    BoundParams.for_kernel(cfg, np.float64(0.1), 0.05, 0.05, np.array([-1.0]), np.array([1]))

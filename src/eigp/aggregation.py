@@ -37,7 +37,7 @@ EIGP_METHODS = ("gEIGP", "aEIGP")
 BASELINE_METHODS = ("MOE", "POE", "GPOE", "BCM", "RBCM")
 ALL_METHODS = EIGP_METHODS + BASELINE_METHODS
 
-TRADEOFF_KINDS = ("linear", "power", "exponential", "logarithmic")
+TRADEOFF_KINDS = ("linear", "power", "exponential")
 VARIANCE_FAMILIES = ("poe", "bcm")
 
 
@@ -53,7 +53,9 @@ class TradeoffSpec:
 
     def __post_init__(self):
         if self.kind not in TRADEOFF_KINDS:
-            raise InvalidInputError(f"unknown trade-off kind {self.kind!r}")
+            raise InvalidInputError(
+                f"unknown trade-off kind {self.kind!r}, expected one of {TRADEOFF_KINDS}"
+            )
         if self.variance_family not in VARIANCE_FAMILIES:
             raise InvalidInputError(f"unknown variance family {self.variance_family!r}")
 
@@ -324,38 +326,25 @@ def _family_rows(family: str, G, V, sel, prior: float) -> np.ndarray:
     return N / denom
 
 
-def _generalized_rows(TW, sel, G, V, ids, nu: float, spec: TradeoffSpec, prior: float):
-    """Generalized trade-off weights of each row; ``ids`` names the agent of each entry.
+def _generalized_rows(TW, sel, G, V, nu: float, spec: TradeoffSpec, prior: float):
+    """Generalized trade-off weights of each row.
 
     TW and the family scores are zero off the selection, and so are the
-    linear and power scores. The exponential and logarithmic kinds call
-    ``math.exp`` and ``math.log`` per selected entry: ``np.exp`` and
-    ``np.log`` round differently in a few values in a thousand.
+    linear and power scores. The exponential kind calls ``math.exp`` per
+    selected entry: ``np.exp`` rounds differently in a few values in a
+    thousand.
     """
     F = _family_rows(spec.variance_family, G, V, sel, prior)
     if spec.kind == "linear":
         scores = nu * TW + (1.0 - nu) * F
     elif spec.kind == "power":
         scores = np.float_power(TW, nu) * np.float_power(F, 1.0 - nu)
-    else:
-        entries = list(zip(ids[sel].tolist(), TW[sel].tolist(), F[sel].tolist()))
-        if spec.kind == "exponential":
-            values = [math.exp(nu * a) + math.exp((1.0 - nu) * f) for _, a, f in entries]
-        else:  # logarithmic
-            for s, a, f in entries:
-                if a <= 0 or f <= 0:
-                    raise InvalidInputError(
-                        f"agent {s}: logarithmic trade-off needs positive arguments, "
-                        f"got ({a}, {f})"
-                    )
-            values = [nu * math.log(a) + (1.0 - nu) * math.log(f) for _, a, f in entries]
-            for (s, _, _), v in zip(entries, values):
-                if v < 0:
-                    raise InvalidInputError(
-                        f"agent {s}: trade-off score {v} is negative, weights must be nonnegative"
-                    )
+    else:  # exponential
         scores = np.zeros(TW.shape)
-        scores[sel] = values
+        scores[sel] = [
+            math.exp(nu * a) + math.exp((1.0 - nu) * f)
+            for a, f in zip(TW[sel].tolist(), F[sel].tolist())
+        ]
     flat = ~scores.any(axis=1)
     scores[flat] = sel[flat]
     return _normalize_rows(scores)
@@ -425,12 +414,11 @@ def generalized_weights(
 
     The per-agent score is Phi(tilde_w_s, family_score_s, nu) for the
     configured trade-off kind; proportional normalization makes the final
-    weights sum to one. The logarithmic kind requires strictly positive
-    arguments and scores.
+    weights sum to one.
     """
     ids, TW, G, V = _weight_inputs(tilde_w, variances, nu, cfg)
     whole = np.ones(TW.shape, dtype=bool)
-    row = _generalized_rows(TW, whole, G, V, np.array([ids]), nu, spec, cfg.prior_plus_noise)
+    row = _generalized_rows(TW, whole, G, V, nu, spec, cfg.prior_plus_noise)
     return dict(zip(ids, row[0].tolist()))
 
 
@@ -516,8 +504,7 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
                 P = np.where(sel, precisions[cols], 0.0)
                 w = _aeigp_rows(w, G, P, nu, prior)
             else:
-                V, ids = variances[cols], np.array(table.ids)[cols]
-                w = _generalized_rows(w, sel, G, V, ids, nu, method.tradeoff, prior)
+                w = _generalized_rows(w, sel, G, variances[cols], nu, method.tradeoff, prior)
         rows = rows[:, None]
         weights[rows, cols] = w
         selected[rows, cols] = sel

@@ -135,6 +135,8 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = {"config": config.to_dict(), **result.summary()}
+    if args.no_timing:
+        summary["mean_prediction_time_ms"] = summary["median_prediction_time_ms"] = 0.0
     _atomic_write(os.path.join(out_dir, "metrics.csv"), _metrics_csv(result, args.no_timing))
     _atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
     if config.scenario == "toy":
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", help="override the config method tag")
     run.add_argument("--out", help="output directory (overrides env and config)")
     run.add_argument(
-        "--no-timing", action="store_true", help="zero timing columns for golden-file tests"
+        "--no-timing", action="store_true", help="zero every timing for golden-file tests"
     )
     run.set_defaults(func=cmd_run)
 

@@ -86,6 +86,11 @@ class ExperimentConfig:
                 self.bound_params()  # without a dataset's box, over the toy interval
         except (InvalidInputError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
+        if isinstance(self.graph, (list, tuple)):  # tuples, as the box, whatever JSON gave
+            try:
+                object.__setattr__(self, "graph", tuple(_edge(edge) for edge in self.graph))
+            except (TypeError, ValueError) as exc:  # a ConfigError is a ValueError too
+                raise ConfigError(f"bad graph: {exc}") from None
         build_graph(self.graph, self.agents)  # validates the edge list
         if self.scenario == "toy" and self.graph != "full":
             raise ConfigError("the toy experiment runs on the complete graph: set graph to 'full'")
@@ -148,14 +153,8 @@ class ExperimentConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(raw)
-        if isinstance(data.get("graph"), list):
-            try:
-                data["graph"] = tuple(_edge(edge) for edge in data["graph"])
-            except (TypeError, ValueError) as exc:  # a ConfigError is a ValueError too
-                raise ConfigError(f"bad graph: {exc}") from None
         try:
-            return cls(**data)
+            return cls(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
 

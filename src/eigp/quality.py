@@ -20,7 +20,7 @@ from .errors import InvalidInputError
 from .kernels import as_input, as_real, kernel_vec
 from .model import AgentModel
 
-RHO_KINDS = ("constant", "mean", "median", "min")
+RHO_KINDS = ("constant", "mean", "median")
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,9 @@ class QualityScore:
 def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
     """Select the stored points whose kernel value at ``x`` meets threshold rho.
 
-    ``constant`` uses the given value (must lie in [0, kappa(0)]); ``mean``,
-    ``median`` and ``min`` use that statistic of the kernel vector. The
-    ``min`` policy therefore always includes every point.
+    ``constant`` uses the given value (must lie in [0, kappa(0)]; 0 includes
+    every point); ``mean`` and ``median`` use that statistic of the kernel
+    vector.
     """
     if model.n == 0:
         raise InvalidInputError("select_indices needs a non-empty model")
@@ -91,10 +91,8 @@ def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
         rho = policy.constant_rho(model.cfg.kappa0)
     elif policy.kind == "mean":
         rho = float(np.add.reduce(k) / k.size)
-    elif policy.kind == "median":
+    else:  # median
         rho = float(np.median(k))
-    else:  # min
-        rho = float(np.min(k))
     return IndexSelection(included=(k >= rho).nonzero()[0], rho=rho, kernel_values=k)
 
 

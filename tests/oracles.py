@@ -305,10 +305,6 @@ def _generalized_weights(tilde_w, variances, nu, spec, cfg):
     ids = sorted(tilde_w)
     gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
     family = _family_scores(spec.variance_family, gains, variances, cfg)
-    if spec.kind == "logarithmic":
-        for s in ids:
-            if tilde_w[s] <= 0 or family[s] <= 0:
-                raise InvalidInputError(f"agent {s}: logarithmic trade-off needs positive arguments")
     scores = {}
     for s in ids:
         a, b = tilde_w[s], family[s]
@@ -316,12 +312,8 @@ def _generalized_weights(tilde_w, variances, nu, spec, cfg):
             scores[s] = nu * a + (1.0 - nu) * b
         elif spec.kind == "power":
             scores[s] = a**nu * b ** (1.0 - nu)
-        elif spec.kind == "exponential":
+        else:  # exponential
             scores[s] = math.exp(nu * a) + math.exp((1.0 - nu) * b)
-        else:
-            scores[s] = nu * math.log(a) + (1.0 - nu) * math.log(b)
-        if scores[s] < 0:
-            raise InvalidInputError(f"agent {s}: trade-off score {scores[s]} is negative")
     if all(v == 0.0 for v in scores.values()):
         scores = {s: 1.0 for s in ids}
     return _proportional_normalize(scores)

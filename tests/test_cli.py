@@ -19,7 +19,9 @@ from eigp import (
     toy_stream,
     write_dataset,
 )
+from eigp.aggregation import TRADEOFF_KINDS, VARIANCE_FAMILIES
 from eigp.cli import cmd_compare, cmd_validate_config, main
+from eigp.quality import RHO_KINDS
 from eigp.sim import TOY_INTERVAL
 
 
@@ -88,7 +90,46 @@ def test_no_timing_runs_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(config), "--out", str(out_a), "--no-timing"]) == 0
     assert main(["run", "--config", str(config), "--out", str(out_b), "--no-timing"]) == 0
-    assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+    # the summary's mean and median prediction times are wall clock unless zeroed
+    for name in ("metrics.csv", "summary.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    summary = json.loads((out_a / "summary.json").read_text())
+    assert summary["mean_prediction_time_ms"] == summary["median_prediction_time_ms"] == 0.0
+
+
+ACCEPTED_KINDS = [
+    {"tradeoff": kind, "variance_family": family}
+    for kind in TRADEOFF_KINDS
+    for family in VARIANCE_FAMILIES
+] + [{"rho_policy": kind, "rho_value": 0.05 if kind == "constant" else None} for kind in RHO_KINDS]
+
+
+@pytest.mark.parametrize("overrides", ACCEPTED_KINDS, ids=lambda overrides: json.dumps(overrides))
+def test_every_accepted_kind_completes_a_toy_run(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, method="aEIGP", query_points=20, **overrides)
+    out = tmp_path / "run"
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out), "--no-timing"]) == 0, (
+        capsys.readouterr().err
+    )
+    assert math.isfinite(json.loads((out / "summary.json").read_text())["final_smse"])
+
+
+@pytest.mark.parametrize(
+    "overrides, kinds",
+    [({"tradeoff": "logarithmic"}, TRADEOFF_KINDS), ({"rho_policy": "min"}, RHO_KINDS)],
+    ids=["logarithmic", "min"],
+)
+def test_a_removed_kind_fails_before_any_run(tmp_path, capsys, overrides, kinds):
+    path = write_config(tmp_path, method="aEIGP", **overrides)
+    for argv in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*argv, "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: unknown ")
+        assert f"expected one of {kinds}" in lines[0]
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(path)
 
 
 def test_method_and_seed_overrides(tmp_path):
@@ -263,6 +304,8 @@ def test_validate_config_rejects_non_integer_edges(tmp_path, capsys, graph, edge
     assert lines == [f"error: bad graph: graph edge {edge}: node ids must be integers"]
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(path)
+    with pytest.raises(ConfigError):  # the constructor checks the edges too
+        ExperimentConfig(**json.loads(path.read_text()))
 
 
 def test_toy_config_rejects_a_graph_it_would_not_use(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from eigp import (
     beta_delta,
     toy_stream,
 )
-from eigp.aggregation import MethodSpec
+from eigp.aggregation import TRADEOFF_KINDS, MethodSpec, TradeoffSpec
 from eigp.bounds import BoundParams
-from eigp.quality import RhoPolicy
+from eigp.quality import RHO_KINDS, RhoPolicy
 from eigp.sim import TOY_INTERVAL
 
 
@@ -166,3 +167,26 @@ def test_numpy_numbers_are_numbers():
     MethodSpec("aEIGP", nu=np.float32(0.5), theta=np.int64(2))
     RhoPolicy("constant", np.float64(0.05))
     BoundParams.for_kernel(cfg, np.float64(0.1), 0.05, 0.05, np.array([-1.0]), np.array([1]))
+
+
+def test_the_logarithmic_trade_off_and_the_min_rho_policy_are_typed_errors():
+    # logarithmic weights failed on every round that min-max scaled an error
+    # weight to 0; min rho included every point, as constant 0 does
+    assert TRADEOFF_KINDS == ("linear", "power", "exponential")
+    assert RHO_KINDS == ("constant", "mean", "median")
+    with pytest.raises(InvalidInputError):
+        TradeoffSpec("logarithmic")
+    with pytest.raises(InvalidInputError):
+        RhoPolicy("min")
+    for raw, kinds in (
+        ({"method": "aEIGP", "tradeoff": "logarithmic"}, TRADEOFF_KINDS),
+        ({"rho_policy": "min"}, RHO_KINDS),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"expected one of {kinds}")):
+            ExperimentConfig.from_dict(raw)
+
+
+def test_a_list_graph_is_stored_as_tuples_and_round_trips():
+    config = ExperimentConfig(scenario="stream", steps=20, agents=3, graph=[[1, 2], [2, 3]])
+    assert config.graph == ((1, 2), (2, 3))
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config

@@ -179,7 +179,7 @@ def test_approx_mean_complete_set_is_exact():
     rng = np.random.default_rng(15)
     model, _, _ = random_model(rng, 7, m=1, d=2)
     x = rng.normal(size=1)
-    idx = select_indices(model, x, RhoPolicy("min"))  # includes everything
+    idx = select_indices(model, x, RhoPolicy("constant", 0.0))  # includes everything
     for j in range(2):
         assert approx_mean(model, x, idx, j) == posterior_mean_via_errors(model, x, j)
 
@@ -188,7 +188,7 @@ def test_approx_mean_empty_and_partial_sets():
     cfg = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1.0)
     model = AgentModel.from_data(cfg, [[0.0], [2.0]], [[1.0], [3.0]])
     x = [0.0]
-    full = select_indices(model, x, RhoPolicy("min"))
+    full = select_indices(model, x, RhoPolicy("constant", 0.0))
     empty = type(full)(
         included=np.zeros(0, dtype=int),
         rho=full.rho,
@@ -207,7 +207,7 @@ def test_approx_mean_empty_and_partial_sets():
 
 def test_approx_mean_rejects_out_of_range_indices():
     model = AgentModel.from_data(UNIT, [[0.0]], [[1.0]])
-    idx = select_indices(model, [0.0], RhoPolicy("min"))
+    idx = select_indices(model, [0.0], RhoPolicy("constant", 0.0))
     bad = type(idx)(
         included=np.array([3]),
         rho=idx.rho,

@@ -30,10 +30,10 @@ def test_select_indices_constant_threshold():
     assert excluded(idx).tolist() == [1]
 
 
-def test_select_indices_min_policy_excludes_nothing():
+def test_select_indices_zero_constant_excludes_nothing():
     rng = np.random.default_rng(0)
     model = make_model(rng.normal(size=9), rng.normal(size=9))
-    idx = select_indices(model, [0.3], RhoPolicy("min"))
+    idx = select_indices(model, [0.3], RhoPolicy("constant", 0.0))
     assert excluded(idx).size == 0
     assert idx.included.tolist() == list(range(9))
 
@@ -49,7 +49,9 @@ def test_select_indices_mean_policy():
 def test_select_indices_partition_invariants():
     rng = np.random.default_rng(1)
     model = make_model(rng.normal(size=15), rng.normal(size=15))
-    for policy in (RhoPolicy("mean"), RhoPolicy("median"), RhoPolicy("min"), RhoPolicy("constant", 0.4)):
+    for policy in (
+        RhoPolicy("mean"), RhoPolicy("median"), RhoPolicy("constant", 0.0), RhoPolicy("constant", 0.4)
+    ):
         x = rng.normal(size=1)
         idx = select_indices(model, x, policy)
         merged = np.sort(np.concatenate([idx.included, excluded(idx)]))
@@ -74,7 +76,7 @@ def test_select_indices_needs_data():
 
 def test_epsilon_sentinel_when_nothing_excluded():
     model = make_model([0.0, 0.1], [1.0, 1.2])
-    score, _ = score_and_approx_mean(model, [0.0], RhoPolicy("min"), lam=2.0)
+    score, _ = score_and_approx_mean(model, [0.0], RhoPolicy("constant", 0.0), lam=2.0)
     assert math.isinf(score.epsilon)
 
 

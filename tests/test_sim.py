@@ -112,7 +112,7 @@ def test_single_agent_online_reduces_to_plain_gp():
     rng = np.random.default_rng(11)
     xs = rng.uniform(-1, 1, size=25)
     ys = toy_function(xs, rng)
-    method = MethodSpec("gEIGP", rho_policy=RhoPolicy("min"))  # no truncation
+    method = MethodSpec("gEIGP", rho_policy=RhoPolicy("constant", 0.0))  # no truncation
     result = run_online(
         CFG,
         method,

@@ -37,7 +37,7 @@ EIGP_METHODS = ("gEIGP", "aEIGP")
 BASELINE_METHODS = ("MOE", "POE", "GPOE", "BCM", "RBCM")
 ALL_METHODS = EIGP_METHODS + BASELINE_METHODS
 
-TRADEOFF_KINDS = ("linear", "power", "exponential")
+TRADEOFF_KINDS = ("linear", "exponential")
 VARIANCE_FAMILIES = ("poe", "bcm")
 
 
@@ -45,10 +45,12 @@ VARIANCE_FAMILIES = ("poe", "bcm")
 class TradeoffSpec:
     """Trade-off function and variance family for the generalized weights.
 
-    The blend parameter nu is the method's (:attr:`MethodSpec.nu`).
+    The blend parameter nu is the method's (:attr:`MethodSpec.nu`). The
+    power trade-off needs no spec: with either family it is aEIGP's own
+    weighting, as the family's row denominator cancels in the normalization.
     """
 
-    kind: str = "power"
+    kind: str
     variance_family: str = "bcm"
 
     def __post_init__(self):
@@ -75,8 +77,8 @@ class MethodSpec:
             raise InvalidInputError(f"unknown method {self.name!r}, expected one of {ALL_METHODS}")
         if not 0.0 <= as_real("nu", self.nu) <= 1.0:
             raise InvalidInputError("nu must lie in [0, 1]")
-        if not as_real("theta", self.theta) >= 0:  # NaN too
-            raise InvalidInputError("theta must be nonnegative")
+        if not 0 <= as_real("theta", self.theta) < math.inf:  # NaN too
+            raise InvalidInputError("theta must be finite and nonnegative")
 
     @property
     def is_baseline(self) -> bool:
@@ -330,15 +332,13 @@ def _generalized_rows(TW, sel, G, V, nu: float, spec: TradeoffSpec, prior: float
     """Generalized trade-off weights of each row.
 
     TW and the family scores are zero off the selection, and so are the
-    linear and power scores. The exponential kind calls ``math.exp`` per
+    linear scores. The exponential kind calls ``math.exp`` per
     selected entry: ``np.exp`` rounds differently in a few values in a
     thousand.
     """
     F = _family_rows(spec.variance_family, G, V, sel, prior)
     if spec.kind == "linear":
         scores = nu * TW + (1.0 - nu) * F
-    elif spec.kind == "power":
-        scores = np.float_power(TW, nu) * np.float_power(F, 1.0 - nu)
     else:  # exponential
         scores = np.zeros(TW.shape)
         scores[sel] = [

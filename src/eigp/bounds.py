@@ -98,6 +98,8 @@ class BoundParams:
         )
         if not len(lower) == len(upper) == cfg.input_dim:
             raise InvalidInputError(f"the box needs {cfg.input_dim} entries, got {len(lower)}")
+        if any(map(math.isinf, lower + upper)):  # beta_delta rejects NaN
+            raise InvalidInputError("box ends must be finite")
         beta = beta_delta(tau, delta, lower, upper)
         noise_std = math.sqrt(cfg.noise_variance)
         lam = lambda_factor(cfg.output_dim, beta, cfg.kappa0, noise_std, delta_n)

@@ -19,8 +19,9 @@ surviving blocks up and left in place and restores the trailing factor block
 with a rank-1 update, one Givens rotation per column (O(N^2), not an O(N^3)
 refactorization; Gill, Golub, Murray & Saunders, *Methods for modifying
 matrix factorizations*, 1974). An append borders the factor with one row in
-the slot a deletion left, or in buffers grown by one, and solves for alpha:
-an ingest at capacity allocates no N x N array and solves once. After a bare
+the slot a deletion left, or in buffers grown by one, and re-solves alpha:
+an ingest at capacity allocates no N x N array. Alpha always comes from one
+forward and one backward triangular solve, L^-T (L^-1 Y). After a bare
 deletion, reading ``chol``, ``alpha`` or ``errors`` trims the buffers to N
 and re-solves. The factor is refactored only when an append is
 ill-conditioned (``refactor_fallbacks`` counts those). It is
@@ -28,7 +29,7 @@ Fortran-ordered, as ``scipy.linalg.cholesky`` returns it, so LAPACK reads it
 without a copy.
 
 The factor is finite by construction, so its solves call LAPACK's
-``trtrs`` and ``potrs`` (``scipy.linalg.lapack``) directly: no per-call
+``trtrs`` (``scipy.linalg.lapack``), and only it, directly: no per-call
 wrapper re-validating the arguments and no finiteness scan (a full pass over
 the N x N buffer per solve); only ``cholesky`` of a freshly computed Gram
 matrix keeps scipy's check. A nonzero ``info``, which a zero on the diagonal
@@ -65,7 +66,7 @@ import math
 import numpy as np
 from scipy.linalg import cholesky
 from scipy.linalg.blas import drot
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .kernels import KernelConfig, as_input, gram, kernel_vec
@@ -161,18 +162,15 @@ class AgentModel:
         reg.flat[:: self.n + 1] += self.cfg.noise_variance
         self._L = cholesky(reg, lower=True, overwrite_a=True)
 
-    def _resolve(self, z: np.ndarray | None = None) -> None:
-        """Solve alpha (only backward when given ``z = L^-1 Y``), then the errors.
+    def _resolve(self) -> None:
+        """Solve alpha = L^-T (L^-1 Y) on the whole factor buffer, then the errors.
 
         errors[j] = -noise_variance * alpha[:, j] equals the posterior-mean
         residual at every stored input, read off the solve instead of recomputed.
         Raises, leaving the caches as they were, if alpha overflows; the
         errors are residuals, no larger than the targets.
         """
-        if z is None:
-            alpha = _solve(dpotrs, self._L, self.Y)
-        else:
-            alpha = _solve(dtrtrs, self._L, z, trans=1)
+        alpha = _solve(self._L, _solve(self._L, self.Y), trans=1)
         if not np.isfinite(alpha).all():
             raise InvalidInputError("targets too large: the posterior weights alpha overflow")
         self._alpha = alpha
@@ -201,12 +199,9 @@ class AgentModel:
         L = self._L
         # Solve on the whole contiguous buffer (LAPACK would copy an [:n, :n]
         # view): with a unit diagonal in the spare row it is nonsingular, and
-        # its first n rows solve as L alone. One forward solve against [k Y]
-        # yields v = L^-1 k and z = L^-1 Y, half of alpha's; row n is redone.
+        # its first n rows solve as L alone, so v = L^-1 k is the head.
         L[n, n] = 1.0
-        rhs = np.column_stack([np.append(k_new, 0.0), self._Y])
-        vz = _solve(dtrtrs, L, rhs)
-        v, z = vz[:n, 0], vz[:, 1:]
+        v = _solve(L, np.append(k_new, 0.0))[:n]
         diag = self.cfg.signal_variance + self.cfg.noise_variance
         s2 = diag - float(v @ v)
         self.n = n + 1
@@ -215,14 +210,10 @@ class AgentModel:
             if s2 > _REFACTOR_FLOOR * diag:
                 L[n, :n] = v
                 L[n, n] = np.sqrt(s2)
-                # an overflow here reaches alpha, where _resolve reports it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    z[n] = (y - v @ z[:n]) / L[n, n]
-                self._resolve(z)
             else:  # ill-conditioned extension; refactor from a recomputed Gram matrix
                 self.refactor_fallbacks += 1
                 self._factor()
-                self._resolve()
+            self._resolve()
         except InvalidInputError:  # alpha overflowed: drop the point again
             # The leading n x n block is the old points' factor on either
             # path; the next read trims to it and re-solves.
@@ -299,7 +290,7 @@ class AgentModel:
         Clamped at zero from below when cancellation produces a tiny
         negative; ``variance_clamps`` counts each clamp.
         """
-        v = _solve(dtrtrs, self.chol, k)
+        v = _solve(self.chol, k)
         var = self.cfg.kappa0 - float(v @ v)
         if var < 0.0:
             self.variance_clamps += 1
@@ -327,8 +318,8 @@ class AgentModel:
             raise InternalConsistencyError("error cache out of sync with alpha")
 
 
-def _solve(routine, L: np.ndarray, b: np.ndarray, **kwargs) -> np.ndarray:
-    """LAPACK ``routine`` (``dtrtrs`` or ``dpotrs``) with the lower factor ``L``.
+def _solve(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """LAPACK ``dtrtrs`` with the lower factor ``L``, transposed if ``trans``.
 
     ``L`` is Fortran-ordered, so the binding reads it in place; it copies
     ``b`` and returns the solution in the shape of ``b``. The bindings reject
@@ -336,7 +327,7 @@ def _solve(routine, L: np.ndarray, b: np.ndarray, **kwargs) -> np.ndarray:
     """
     if b.size == 0:
         return np.zeros(b.shape)
-    x, info = routine(L, b, lower=1, **kwargs)
+    x, info = dtrtrs(L, b, lower=1, trans=trans)
     if info != 0:
         raise InternalConsistencyError(f"LAPACK solve against the factor failed (info {info})")
     return x

@@ -310,8 +310,6 @@ def _generalized_weights(tilde_w, variances, nu, spec, cfg):
         a, b = tilde_w[s], family[s]
         if spec.kind == "linear":
             scores[s] = nu * a + (1.0 - nu) * b
-        elif spec.kind == "power":
-            scores[s] = a**nu * b ** (1.0 - nu)
         else:  # exponential
             scores[s] = math.exp(nu * a) + math.exp((1.0 - nu) * b)
     if all(v == 0.0 for v in scores.values()):

@@ -29,7 +29,7 @@ from eigp import (
     predict_round,
     proportional_normalize,
 )
-from eigp.aggregation import BASELINE_METHODS, _row_std
+from eigp.aggregation import BASELINE_METHODS, TRADEOFF_KINDS, VARIANCE_FAMILIES, _row_std
 from eigp.quality import RhoPolicy, score_and_approx_mean
 from eigp.sim import toy_training_data
 import oracles
@@ -214,20 +214,6 @@ def test_generalized_linear_nu_one_ignores_variances():
     for s in tw:
         assert a[s] == pytest.approx(b[s], rel=1e-14)
         assert a[s] == pytest.approx(tw[s] / 1.25, rel=1e-12)
-
-
-def test_generalized_power_bcm_reproduces_aeigp():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        ids = list(range(1, int(rng.integers(2, 6)) + 1))
-        tw = {s: float(v) for s, v in zip(ids, minmax_normalize(rng.uniform(0, 1, len(ids))))}
-        variances = {s: float(rng.uniform(0.05, CFG.kappa0)) for s in ids}
-        nu = float(rng.uniform(0.05, 0.95))
-        spec = TradeoffSpec(kind="power", variance_family="bcm")
-        a = generalized_weights(tw, variances, nu, spec, CFG)
-        b = aeigp_weights(tw, variances, nu, CFG)
-        for s in ids:
-            assert a[s] == pytest.approx(b[s], rel=1e-12, abs=1e-12)
 
 
 def test_generalized_linear_poe_hand_case():
@@ -501,8 +487,8 @@ def round_methods():
     for theta in (0.0, 0.25, 1.0, 4.0):
         for nu in (0.0, 0.5, 1.0):
             yield MethodSpec("aEIGP", nu=nu, theta=theta)
-    for kind in ("linear", "power", "exponential"):
-        for family in ("poe", "bcm"):
+    for kind in TRADEOFF_KINDS:
+        for family in VARIANCE_FAMILIES:
             yield MethodSpec("aEIGP", nu=0.5, theta=4.0, tradeoff=TradeoffSpec(kind, family))
 
 
@@ -581,8 +567,8 @@ def dict_generalized_weights(models, graph, requester, x, method):
     return generalized_weights(tilde_w, variances, method.nu, method.tradeoff, CFG)
 
 
-@pytest.mark.parametrize("family", ["poe", "bcm"])
-@pytest.mark.parametrize("kind", ["linear", "power", "exponential"])
+@pytest.mark.parametrize("family", VARIANCE_FAMILIES)
+@pytest.mark.parametrize("kind", TRADEOFF_KINDS)
 def test_nu_one_tradeoff_round_weighs_as_generalized_weights(kind, family):
     # nu = 1 reduces aEIGP to the normalized error weights, but a trade-off
     # still weighs them against the variance family's scores
@@ -617,7 +603,7 @@ def test_row_kernels_match_dict_oracle_bit_for_bit():
         assert aeigp_weights(tilde_w, variances, nu, CFG) == oracles._aeigp_weights(
             tilde_w, variances, nu, CFG
         )
-        spec = TradeoffSpec("power", str(rng.choice(["poe", "bcm"])))
+        spec = TradeoffSpec(str(rng.choice(TRADEOFF_KINDS)), str(rng.choice(VARIANCE_FAMILIES)))
         assert generalized_weights(tilde_w, variances, nu, spec, CFG) == (
             oracles._generalized_weights(tilde_w, variances, nu, spec, CFG)
         )

@@ -117,8 +117,12 @@ def test_every_accepted_kind_completes_a_toy_run(tmp_path, capsys, overrides):
 
 @pytest.mark.parametrize(
     "overrides, kinds",
-    [({"tradeoff": "logarithmic"}, TRADEOFF_KINDS), ({"rho_policy": "min"}, RHO_KINDS)],
-    ids=["logarithmic", "min"],
+    [
+        ({"tradeoff": "logarithmic"}, TRADEOFF_KINDS),
+        ({"tradeoff": "power"}, TRADEOFF_KINDS),
+        ({"rho_policy": "min"}, RHO_KINDS),
+    ],
+    ids=["logarithmic", "power", "min"],
 )
 def test_a_removed_kind_fails_before_any_run(tmp_path, capsys, overrides, kinds):
     path = write_config(tmp_path, method="aEIGP", **overrides)
@@ -379,12 +383,13 @@ def test_run_rejects_an_infinite_kernel_hyperparameter(tmp_path, capsys):
         ({"box": [[-1.0, 1.0], [0.0, 1.0]]}, "needs 1 entries, got 2"),
         ({"tau": math.nan}, "tau must be positive"),
         ({"box": [[math.nan, 1.0]]}, "must not be below lower"),
+        ({"box": [[-math.inf, math.inf]]}, "box ends must be finite"),
         ([0.1, 0.05], "bounds must be an object"),
         ({"box": [[-1.0, 0.0, 1.0]]}, "one [lower, upper] pair per input dimension"),
         ({"box": [[-1.0]]}, "one [lower, upper] pair per input dimension"),
     ],
     ids=[
-        "tau", "delta", "delta_n", "inverted box", "box length", "NaN tau", "NaN box",
+        "tau", "delta", "delta_n", "inverted box", "box length", "NaN tau", "NaN box", "infinite box",
         "not an object", "box triple", "box single",
     ],
 )

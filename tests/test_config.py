@@ -94,6 +94,7 @@ def test_from_json_reports_bad_files(tmp_path):
     "overrides",
     [
         {"theta": math.nan},
+        {"theta": math.inf},
         {"rho_policy": "constant", "rho_value": math.nan},
         {"rho_policy": "constant", "rho_value": math.inf},
     ],
@@ -105,8 +106,9 @@ def test_nan_theta_and_non_finite_rho_are_rejected_when_parsed(overrides):
 
 
 def test_method_spec_and_rho_policy_reject_nan_directly():
-    with pytest.raises(InvalidInputError, match="theta"):
-        MethodSpec("aEIGP", theta=math.nan)
+    for theta in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="theta"):
+            MethodSpec("aEIGP", theta=theta)
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError, match="finite"):
             RhoPolicy("constant", value)
@@ -171,15 +173,18 @@ def test_numpy_numbers_are_numbers():
 
 def test_the_logarithmic_trade_off_and_the_min_rho_policy_are_typed_errors():
     # logarithmic weights failed on every round that min-max scaled an error
-    # weight to 0; min rho included every point, as constant 0 does
-    assert TRADEOFF_KINDS == ("linear", "power", "exponential")
+    # weight to 0; min rho included every point, as constant 0 does; power
+    # weights are aEIGP's own, so aEIGP with no trade-off gives them
+    assert TRADEOFF_KINDS == ("linear", "exponential")
     assert RHO_KINDS == ("constant", "mean", "median")
-    with pytest.raises(InvalidInputError):
-        TradeoffSpec("logarithmic")
+    for kind in ("logarithmic", "power"):
+        with pytest.raises(InvalidInputError):
+            TradeoffSpec(kind)
     with pytest.raises(InvalidInputError):
         RhoPolicy("min")
     for raw, kinds in (
         ({"method": "aEIGP", "tradeoff": "logarithmic"}, TRADEOFF_KINDS),
+        ({"method": "aEIGP", "tradeoff": "power"}, TRADEOFF_KINDS),
         ({"rho_policy": "min"}, RHO_KINDS),
     ):
         with pytest.raises(ConfigError, match=re.escape(f"expected one of {kinds}")):

@@ -162,7 +162,7 @@ def test_validate_cache_catches_a_wrong_alpha_near_the_float_range():
 def test_ingest_at_capacity_scans_no_square_array(monkeypatch):
     """scipy's ``check_finite`` goes through ``numpy.asarray_chkfinite``, which
     ``cholesky`` and ``cho_solve`` import by name: spy on both bindings. The
-    model's solves call LAPACK's ``trtrs``/``potrs`` with no wrapper; the two
+    model's solves call LAPACK's ``trtrs`` with no wrapper; the two
     wrapped solves below show that the spy sees scipy's default checks."""
     shapes = []
     original = np.asarray_chkfinite

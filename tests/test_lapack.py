@@ -1,4 +1,4 @@
-"""The model's solves call LAPACK directly: scipy's bytes, scipy's counts, typed failures."""
+"""The model's solves call ``dtrtrs`` directly: scipy's bytes, fixed counts, typed failures."""
 
 import ast
 from collections import Counter
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from eigp import AgentModel, InternalConsistencyError, KernelConfig, delete_and_reallocate, ingest
 from eigp import model as model_module
@@ -26,32 +26,22 @@ def _model(n, d, seed=0):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Record every call through the model module's LAPACK bindings.
+    """Record every call through the model module's ``dtrtrs`` binding.
 
-    Each entry is (routine name, copy of the factor, copy of the right-hand
-    side, keyword arguments, solution): the factor buffer is overwritten by
-    the append after its forward solve.
+    Each entry is (copy of the factor, copy of the right-hand side, keyword
+    arguments, solution): the factor buffer is overwritten by the append
+    after its forward solve.
     """
     calls = []
-    for name in ("dtrtrs", "dpotrs"):
-        routine = getattr(model_module, name)
+    routine = model_module.dtrtrs
 
-        def spy(L, b, _name=name, _routine=routine, **kwargs):
-            x, info = _routine(L, b, **kwargs)
-            calls.append((_name, L.copy(order="F"), np.array(b), kwargs, x.copy()))
-            return x, info
+    def spy(L, b, **kwargs):
+        x, info = routine(L, b, **kwargs)
+        calls.append((L.copy(order="F"), np.array(b), kwargs, x.copy()))
+        return x, info
 
-        monkeypatch.setattr(model_module, name, spy)
+    monkeypatch.setattr(model_module, "dtrtrs", spy)
     return calls
-
-
-def _scipy_solution(name, L, b, kwargs):
-    """scipy's wrapped solve of the same system, with its default checks."""
-    assert kwargs.pop("lower") == 1
-    if name == "dpotrs":
-        assert kwargs == {}
-        return cho_solve((L, True), b)
-    return solve_triangular(L, b, lower=True, trans=kwargs.pop("trans", 0))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -64,16 +54,14 @@ def test_solves_equal_scipy_bit_for_bit(lapack_calls, n, d):
     model.classical_predict([0.7])
     delete_and_reallocate(model, 0)
     model.alpha  # the bare deletion's re-solve
-    kinds = [
-        (name, b.shape[1] if b.ndim == 2 else 0, kw.get("trans", 0))
-        for name, _, b, kw, _ in lapack_calls
-    ]
-    assert ("dtrtrs", d + 1, 0) in kinds  # the append's [k Y] forward solve
-    assert ("dtrtrs", d, 1) in kinds  # alpha's backward solve
-    assert ("dtrtrs", 0, 0) in kinds  # a query's variance solve
-    assert kinds.count(("dpotrs", d, 0)) == 2  # from_data and the re-solve
-    for name, L, b, kwargs, x in lapack_calls:
-        ref = _scipy_solution(name, L, b, dict(kwargs))
+    kinds = Counter((b.shape[1] if b.ndim == 2 else 0, kw["trans"]) for _, b, kw, _ in lapack_calls)
+    # alpha's forward and backward solves: from_data, append, ingest and the re-solve
+    assert kinds[d, 0] == kinds[d, 1] == 4
+    # one-column forward solves: two appends' v = L^-1 k and two queries' variances
+    assert kinds[0, 0] == 4 and len(lapack_calls) == 12
+    for L, b, kwargs, x in lapack_calls:
+        assert kwargs["lower"] == 1
+        ref = solve_triangular(L, b, lower=True, trans=kwargs["trans"])
         assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
 
 
@@ -81,22 +69,26 @@ def test_lapack_call_counts_per_operation(lapack_calls):
     def counted(op, *args):
         lapack_calls.clear()
         result = op(*args)
-        return result, Counter(name for name, *_ in lapack_calls)
+        return result, len(lapack_calls)
 
     rng = np.random.default_rng(4)
     model, calls = counted(AgentModel.from_data, _cfg(1), rng.normal(size=(12, 1)), np.ones(12))
-    assert calls == {"dpotrs": 1}
-    assert counted(model.append_point, [0.3], [0.1])[1] == {"dtrtrs": 2}
-    assert counted(ingest, model, [0.9], [0.2], 20)[1] == {"dtrtrs": 2}
-    # at capacity: the deletion solves nothing, the append solves alpha once
-    assert counted(ingest, model, [-0.9], [0.4], model.n)[1] == {"dtrtrs": 2}
-    assert counted(model.posterior_var, [0.5])[1] == {"dtrtrs": 1}
-    assert counted(model.classical_predict, [0.5])[1] == {"dtrtrs": 1}
-    assert counted(model.posterior_mean, [0.5])[1] == {}
+    assert calls == 2  # alpha: forward, backward
+    # v = L^-1 k, then alpha
+    assert counted(model.append_point, [0.3], [0.1])[1] == 3
+    assert counted(ingest, model, [0.9], [0.2], 20)[1] == 3
+    # at capacity: the deletion solves nothing, the append as above
+    assert counted(ingest, model, [-0.9], [0.4], model.n)[1] == 3
+    assert counted(model.posterior_var, [0.5])[1] == 1
+    assert counted(model.classical_predict, [0.5])[1] == 1
+    assert counted(model.posterior_mean, [0.5])[1] == 0
+    # a bare deletion solves nothing until a read re-solves alpha
+    assert counted(delete_and_reallocate, model, 3)[1] == 0
+    assert counted(lambda: model.alpha)[1] == 2
     assert model.refactor_fallbacks == 0
     # an empty model's alpha is the empty array: nothing to solve
     empty, calls = counted(AgentModel.from_data, _cfg(2), np.zeros((0, 1)), np.zeros((0, 2)))
-    assert calls == {} and empty.alpha.shape == (0, 2) and empty.errors.shape == (2, 0)
+    assert calls == 0 and empty.alpha.shape == (0, 2) and empty.errors.shape == (2, 0)
 
 
 def test_zero_on_the_factor_diagonal_is_an_internal_error():

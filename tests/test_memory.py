@@ -249,6 +249,22 @@ def test_ingest_matches_copying_oracle(capacity):
     model.validate_cache()
 
 
+def test_prefilled_capacity_400_ingests_match_copying_oracle():
+    # BLAS splits the triangular solves into blocks at sizes like the
+    # capacity-1000 ring's; the cases above stop at 60 points
+    capacity = 400
+    rng = np.random.default_rng(400)
+    X, Y = rng.normal(size=(capacity, 2)), rng.normal(size=(capacity, 2))
+    model, ref = AgentModel.from_data(CFG_2D, X, Y), CopyingModel(CFG_2D, X, Y)
+    assert_matches_oracle(model, ref)
+    for _ in range(20):
+        x, y = rng.normal(size=2), rng.normal(size=2)
+        assert ingest(model, x, y, capacity).deleted_index == ref.ingest(x, y, capacity)
+        assert_matches_oracle(model, ref)
+    assert model.n == capacity and model.refactor_fallbacks == 0
+    model.validate_cache()
+
+
 @pytest.mark.parametrize("indices", [[0], [11], [3, 7], [11, 10], [0, 0]])
 def test_deletions_then_appends_match_copying_oracle(indices):
     rng = np.random.default_rng(14)

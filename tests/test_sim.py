@@ -8,6 +8,7 @@ import pytest
 from eigp import (
     AgentModel,
     BoundParams,
+    ExperimentConfig,
     Graph,
     InvalidInputError,
     KernelConfig,
@@ -213,6 +214,47 @@ def test_selective_methods_beat_moe_on_sequential_stream():
     for name, method in selective.items():
         value = tail_smse(run_online(CFG, method, graph, xs[:, None], ys[:, None], schedule))
         assert value <= moe, f"{name} tail SMSE {value} above MOE {moe}"
+
+
+def home_agent_picks(config):
+    """Requester-rounds of ``config``'s offline toy whose plan selects the home agent.
+
+    The home agent holds the training point nearest the query, so its block
+    spans the query. Returns (picks, requester-rounds).
+    """
+    cfg, method = config.kernel_config(), config.method_spec()
+    rng = np.random.default_rng(config.seed)
+    xs, ys, blocks = toy_training_data(config.train_points, config.agents, rng)
+    models = {
+        i: AgentModel.from_data(cfg, xs[b][:, None], ys[b][:, None])
+        for i, b in enumerate(blocks, start=1)
+    }
+    owner = np.repeat(np.arange(1, len(blocks) + 1), [len(b) for b in blocks])
+    graph = fully_connected(config.agents)
+    picks = rounds = 0
+    for q in np.linspace(*TOY_INTERVAL, config.query_points):
+        home = owner[np.argmin(np.abs(xs - q))]
+        plans = predict_round(models, graph, [q], method, cfg)[1]
+        picks += sum(home in plan.selected for plan in plans.values())
+        rounds += len(plans)
+    return picks, rounds
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="epsilon under a data-relative rho rewards distance: the default mean "
+    "policy picks the home agent in 4 of 400 requester-rounds (median: 0 of 400)",
+)
+def test_the_default_rho_policy_picks_the_home_agent_in_most_toy_rounds():
+    picks, rounds = home_agent_picks(ExperimentConfig())
+    assert picks > rounds / 2
+
+
+def test_constant_rho_picks_the_home_agent_in_nearly_every_toy_round():
+    # 396 of 400 at seed 0: the home agent includes all its points and wins
+    # through the infinity sentinel, far agents include none
+    picks, rounds = home_agent_picks(ExperimentConfig(rho_policy="constant", rho_value=0.05))
+    assert picks >= 0.95 * rounds
 
 
 def test_summary_fields():

@@ -31,7 +31,7 @@ from .errors import InvalidInputError
 from .graph import Graph
 from .kernels import KernelConfig, as_real
 from .model import AgentModel
-from .quality import QualityScore, RhoPolicy, score_and_approx_mean
+from .quality import QualityScore, RhoPolicy, kernel_rows, score_and_approx_mean
 
 EIGP_METHODS = ("gEIGP", "aEIGP")
 BASELINE_METHODS = ("MOE", "POE", "GPOE", "BCM", "RBCM")
@@ -123,15 +123,19 @@ class AggregationPlan:
 def evaluate_round(agents, x, models: dict[int, AgentModel], method: MethodSpec) -> RoundTable:
     """Score each of ``agents`` once at ``x``: the table every requester reads.
 
-    Scores are taken at lam = 1: lam rescales every agent's epsilon equally,
-    so it changes no selection or weight. Baselines score nothing.
+    The query's kernel vector against every agent comes from one stacked
+    evaluation (:func:`~eigp.quality.kernel_rows`), and each score keeps its
+    agent's row for the variance. Scores are taken at lam = 1: lam rescales
+    every agent's epsilon equally, so it changes no selection or weight.
+    Baselines score nothing.
     """
     ids = tuple(agents)
     empty = np.array([models[s].n == 0 for s in ids])
     if method.is_baseline:
         return RoundTable(ids, [], None, None, empty)
-    policy = method.rho_policy
-    scores, means = zip(*(score_and_approx_mean(models[s], x, policy) for s in ids))
+    policy, agent_models = method.rho_policy, [models[s] for s in ids]
+    pairs = zip(agent_models, kernel_rows(agent_models, x))
+    scores, means = zip(*(score_and_approx_mean(m, x, policy, kernel_values=k) for m, k in pairs))
     eps = np.array([score.epsilon for score in scores])
     return RoundTable(ids, list(scores), eps, np.array(means), empty)
 
@@ -495,7 +499,8 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
             wanted[cols[sel]] = True
             for p in wanted.nonzero()[0].tolist():
                 if precisions[p] == 0.0:
-                    var = models[table.ids[p]].posterior_var(x)
+                    k_row = table.scores[p].idx.kernel_values
+                    var = models[table.ids[p]].posterior_var(x, k_row)
                     gains[p] = _log_precision_gain(cfg, var, table.ids[p])
                     precisions[p], variances[p] = 1.0 / var, var
             G = np.where(sel, gains[cols], 0.0)

@@ -35,8 +35,12 @@ def beta_delta(tau: float, delta: float, lower, upper) -> float:
     if not np.all(upper >= lower):  # NaN too
         raise InvalidInputError("upper bounds must not be below lower bounds")
     m = lower.size
-    spans = math.sqrt(m) / (2.0 * tau) * (upper - lower) + 1.0
-    return float(2.0 * np.sum(np.log(spans)) - 2.0 * math.log(delta))
+    with np.errstate(over="ignore"):  # a span past the float range: beta is inf, raised below
+        spans = math.sqrt(m) / (2.0 * tau) * (upper - lower) + 1.0
+    beta = float(2.0 * np.sum(np.log(spans)) - 2.0 * math.log(delta))
+    if not math.isfinite(beta):
+        raise InvalidInputError("the box is too wide for a finite beta: its span overflows")
+    return beta
 
 
 def lambda_factor(d: int, beta: float, kappa0: float, noise_std: float, delta_n: float) -> float:

@@ -11,7 +11,8 @@ prediction and for the error-informed machinery built on top:
 A query has one mean path, ``k @ alpha``, and one variance path,
 kappa(0) - ||L^-1 k||^2 clamped at zero; ``posterior_mean``,
 ``posterior_var`` and the baselines' ``classical_predict`` all read them,
-the last from a single kernel vector.
+the last from a single kernel vector, and ``posterior_var`` from the one
+its caller passes (a query round's, shared with the quality score) if any.
 
 X, Y and the factor, the only N x N array kept, fill the leading N rows (and
 columns) of buffers that a deletion does not shrink. A deletion shifts the
@@ -260,10 +261,11 @@ class AgentModel:
         k = kernel_vec(self.cfg, self.X, x)
         return float((k @ self.alpha)[j])
 
-    def posterior_var(self, x) -> float:
+    def posterior_var(self, x, kernel_values=None) -> float:
         """Posterior variance at ``x``, shared by all output dimensions.
 
-        An empty model returns the prior variance kappa(0).
+        ``kernel_values`` (of ``x`` against ``X``) is computed when not
+        given. An empty model returns the prior variance kappa(0).
         """
         if self.n == 0:
             # The general path gives the same kappa(0), but a stream's fill
@@ -271,7 +273,9 @@ class AgentModel:
             # and streams ran slower without this shortcut.
             as_input(self.cfg, x)
             return self.cfg.kappa0
-        return self._variance(kernel_vec(self.cfg, self.X, x))
+        if kernel_values is None:
+            kernel_values = kernel_vec(self.cfg, self.X, x)
+        return self._variance(kernel_values)
 
     def classical_predict(self, x) -> tuple[np.ndarray, float]:
         """Means of all dimensions plus the variance, from one kernel vector.

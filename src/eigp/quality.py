@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import InvalidInputError
 from .kernels import as_input, as_real, kernel_vec
 from .model import AgentModel
 
-RHO_KINDS = ("constant", "mean", "median")
+RHO_KINDS = ("constant", "mean")
 
 
 @dataclass(frozen=True)
@@ -77,27 +78,44 @@ class QualityScore:
             raise InvalidInputError("epsilon must be nonnegative")
 
 
-def select_indices(model: AgentModel, x, policy: RhoPolicy) -> IndexSelection:
+def kernel_rows(models, x) -> list[np.ndarray]:
+    """The query's kernel vector against each of ``models``, from one evaluation.
+
+    The models' stored inputs are stacked and evaluated in one
+    :func:`~eigp.kernels.kernel_vec` call; each model gets a view on its rows
+    (an empty model an empty one), the bytes a call of its own would give.
+    The models must share one kernel configuration.
+    """
+    cfg = models[0].cfg
+    for model in models:
+        if model.cfg is not cfg and model.cfg != cfg:
+            raise InvalidInputError("models scored together must share one kernel configuration")
+    k = kernel_vec(cfg, np.concatenate([model.X for model in models]), x)
+    ends = accumulate(model.n for model in models)
+    return [k[end - model.n : end] for model, end in zip(models, ends)]
+
+
+def select_indices(
+    model: AgentModel, x, policy: RhoPolicy, kernel_values=None
+) -> IndexSelection:
     """Select the stored points whose kernel value at ``x`` meets threshold rho.
 
     ``constant`` uses the given value (must lie in [0, kappa(0)]; 0 includes
-    every point); ``mean`` and ``median`` use that statistic of the kernel
-    vector.
+    every point); ``mean`` the mean of the kernel vector ``kernel_values``,
+    which is computed when not given.
     """
     if model.n == 0:
         raise InvalidInputError("select_indices needs a non-empty model")
-    k = kernel_vec(model.cfg, model.X, x)
+    k = kernel_vec(model.cfg, model.X, x) if kernel_values is None else kernel_values
     if policy.kind == "constant":
         rho = policy.constant_rho(model.cfg.kappa0)
-    elif policy.kind == "mean":
+    else:  # mean
         rho = float(np.add.reduce(k) / k.size)
-    else:  # median
-        rho = float(np.median(k))
     return IndexSelection(included=(k >= rho).nonzero()[0], rho=rho, kernel_values=k)
 
 
 def score_and_approx_mean(
-    model: AgentModel, x, policy: RhoPolicy, lam: float = 1.0
+    model: AgentModel, x, policy: RhoPolicy, lam: float = 1.0, kernel_values=None
 ) -> tuple[QualityScore, np.ndarray]:
     """Distance-aware quality score and truncated mean of one agent at one query.
 
@@ -115,7 +133,7 @@ def score_and_approx_mean(
         as_input(model.cfg, x)
         idx = IndexSelection(np.zeros(0, dtype=int), 0.0, np.zeros(0))
         return QualityScore(math.inf, idx), np.zeros(model.cfg.output_dim)
-    idx = select_indices(model, x, policy)
+    idx = select_indices(model, x, policy, kernel_values)
     included = idx.included
     num_vec = model.errors[:, included] @ idx.kernel_values[included]
     tilde_mu = num_vec * (-1.0 / model.cfg.noise_variance)

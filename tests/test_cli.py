@@ -121,8 +121,9 @@ def test_every_accepted_kind_completes_a_toy_run(tmp_path, capsys, overrides):
         ({"tradeoff": "logarithmic"}, TRADEOFF_KINDS),
         ({"tradeoff": "power"}, TRADEOFF_KINDS),
         ({"rho_policy": "min"}, RHO_KINDS),
+        ({"rho_policy": "median"}, RHO_KINDS),
     ],
-    ids=["logarithmic", "power", "min"],
+    ids=["logarithmic", "power", "min", "median"],
 )
 def test_a_removed_kind_fails_before_any_run(tmp_path, capsys, overrides, kinds):
     path = write_config(tmp_path, method="aEIGP", **overrides)
@@ -384,13 +385,14 @@ def test_run_rejects_an_infinite_kernel_hyperparameter(tmp_path, capsys):
         ({"tau": math.nan}, "tau must be positive"),
         ({"box": [[math.nan, 1.0]]}, "must not be below lower"),
         ({"box": [[-math.inf, math.inf]]}, "box ends must be finite"),
+        ({"box": [[-1e308, 1e308]]}, "span overflows"),
         ([0.1, 0.05], "bounds must be an object"),
         ({"box": [[-1.0, 0.0, 1.0]]}, "one [lower, upper] pair per input dimension"),
         ({"box": [[-1.0]]}, "one [lower, upper] pair per input dimension"),
     ],
     ids=[
         "tau", "delta", "delta_n", "inverted box", "box length", "NaN tau", "NaN box", "infinite box",
-        "not an object", "box triple", "box single",
+        "overflowing box", "not an object", "box triple", "box single",
     ],
 )
 def test_validate_config_checks_bound_settings(tmp_path, capsys, bounds, message):

@@ -174,18 +174,21 @@ def test_numpy_numbers_are_numbers():
 def test_the_logarithmic_trade_off_and_the_min_rho_policy_are_typed_errors():
     # logarithmic weights failed on every round that min-max scaled an error
     # weight to 0; min rho included every point, as constant 0 does; power
-    # weights are aEIGP's own, so aEIGP with no trade-off gives them
+    # weights are aEIGP's own, so aEIGP with no trade-off gives them; median
+    # rho never picked the home agent of an offline toy round
     assert TRADEOFF_KINDS == ("linear", "exponential")
-    assert RHO_KINDS == ("constant", "mean", "median")
+    assert RHO_KINDS == ("constant", "mean")
     for kind in ("logarithmic", "power"):
         with pytest.raises(InvalidInputError):
             TradeoffSpec(kind)
-    with pytest.raises(InvalidInputError):
-        RhoPolicy("min")
+    for kind in ("min", "median"):
+        with pytest.raises(InvalidInputError):
+            RhoPolicy(kind)
     for raw, kinds in (
         ({"method": "aEIGP", "tradeoff": "logarithmic"}, TRADEOFF_KINDS),
         ({"method": "aEIGP", "tradeoff": "power"}, TRADEOFF_KINDS),
         ({"rho_policy": "min"}, RHO_KINDS),
+        ({"rho_policy": "median"}, RHO_KINDS),
     ):
         with pytest.raises(ConfigError, match=re.escape(f"expected one of {kinds}")):
             ExperimentConfig.from_dict(raw)

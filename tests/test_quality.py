@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eigp import AgentModel, InvalidInputError, KernelConfig, kernel_eval, kernel_vec
-from eigp.quality import RhoPolicy, score_and_approx_mean, select_indices
+from eigp.quality import RhoPolicy, kernel_rows, score_and_approx_mean, select_indices
 from oracles import approx_mean
 
 UNIT = KernelConfig(signal_variance=1.0, lengthscale=1.0, noise_variance=1.0)
@@ -49,9 +49,7 @@ def test_select_indices_mean_policy():
 def test_select_indices_partition_invariants():
     rng = np.random.default_rng(1)
     model = make_model(rng.normal(size=15), rng.normal(size=15))
-    for policy in (
-        RhoPolicy("mean"), RhoPolicy("median"), RhoPolicy("constant", 0.0), RhoPolicy("constant", 0.4)
-    ):
+    for policy in (RhoPolicy("mean"), RhoPolicy("constant", 0.0), RhoPolicy("constant", 0.4)):
         x = rng.normal(size=1)
         idx = select_indices(model, x, policy)
         merged = np.sort(np.concatenate([idx.included, excluded(idx)]))
@@ -59,6 +57,44 @@ def test_select_indices_partition_invariants():
         k = idx.kernel_values
         assert np.array_equal(k, kernel_vec(model.cfg, model.X, x))
         assert np.all(k[idx.included] >= idx.rho)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_rows_give_each_model_the_bytes_of_its_own_kernel_vector(m):
+    # one stacked evaluation per round, shared by the score and the variance
+    cfg = KernelConfig(lengthscale=0.7, noise_variance=0.1, input_dim=m)
+    rng = np.random.default_rng(40 + m)
+    models = [
+        AgentModel.from_data(cfg, rng.normal(size=(n, m)), rng.normal(size=(n, 1)))
+        for n in (1, 7, 30)
+    ]
+    models[1:1] = [AgentModel(cfg)]  # an empty model between filled ones
+    models.insert(0, AgentModel(cfg))
+    policy = RhoPolicy("mean")
+    for x in rng.normal(size=(20, m)):
+        rows = kernel_rows(models, x)
+        assert [row.size for row in rows] == [model.n for model in models]
+        for model, row in zip(models, rows):
+            assert row.tobytes() == kernel_vec(cfg, model.X, x).tobytes()
+            shared = score_and_approx_mean(model, x, policy, kernel_values=row)
+            alone = score_and_approx_mean(model, x, policy)
+            assert shared[0].epsilon == alone[0].epsilon
+            assert shared[1].tobytes() == alone[1].tobytes()
+            assert model.posterior_var(x, row) == model.posterior_var(x)
+    empty = [AgentModel(cfg), AgentModel(cfg)]
+    assert [row.size for row in kernel_rows(empty, np.zeros(m))] == [0, 0]
+    with pytest.raises(InvalidInputError):
+        kernel_rows(empty, np.zeros(m + 1))  # the query is checked with no rows to score
+
+
+def test_kernel_rows_reject_models_of_different_kernels():
+    a = make_model([0.0], [1.0])
+    b = make_model([1.0], [1.0], KernelConfig(lengthscale=0.5, noise_variance=1.0))
+    with pytest.raises(InvalidInputError, match="share one kernel configuration"):
+        kernel_rows([a, b], [0.0])
+    # an equal configuration held in another object is the same kernel
+    c = make_model([2.0], [1.0], KernelConfig(lengthscale=1.0, noise_variance=1.0))
+    assert len(kernel_rows([a, c], [0.0])) == 2
 
 
 def test_select_indices_rejects_bad_constant():

@@ -29,6 +29,7 @@ PER_QUERY = {
     ("kernels", "as_input"),
     ("kernels", "kernel_vec"),
     ("kernels", "gram"),
+    ("quality", "kernel_rows"),
     ("quality", "select_indices"),
     ("quality", "score_and_approx_mean"),
     ("aggregation", "_weigh"),

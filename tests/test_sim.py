@@ -29,6 +29,8 @@ from eigp import (
     toy_function,
     toy_mean,
 )
+from eigp import model as model_module
+from eigp import quality
 from eigp.aggregation import joint_predict
 from eigp.memory import ingest
 from eigp.quality import RhoPolicy
@@ -243,7 +245,7 @@ def home_agent_picks(config):
 @pytest.mark.xfail(
     strict=True,
     reason="epsilon under a data-relative rho rewards distance: the default mean "
-    "policy picks the home agent in 4 of 400 requester-rounds (median: 0 of 400)",
+    "policy picks the home agent in 4 of 400 requester-rounds",
 )
 def test_the_default_rho_policy_picks_the_home_agent_in_most_toy_rounds():
     picks, rounds = home_agent_picks(ExperimentConfig())
@@ -345,9 +347,9 @@ def test_predict_round_scores_each_agent_once(monkeypatch):
         calls["score"] += 1
         return score(*args, **kwargs)
 
-    def counted_var(self, x):
+    def counted_var(self, *args, **kwargs):
         calls["var"] += 1
-        return var(self, x)
+        return var(self, *args, **kwargs)
 
     monkeypatch.setattr(aggregation, "score_and_approx_mean", counted_score)
     monkeypatch.setattr(AgentModel, "posterior_var", counted_var)
@@ -371,7 +373,7 @@ def test_predict_round_keeps_calling_the_traced_names(monkeypatch):
         X = rng.uniform(-1.2, 1.2, size=(25, 1))
         models[i] = AgentModel.from_data(CFG, X, toy_function(X, rng))
     ring = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    calls = {"joint_predict": [], "score": [], "var": [], "classical": []}
+    calls = {"joint_predict": [], "score": [], "var": [], "classical": [], "kernel": []}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -388,6 +390,8 @@ def test_predict_round_keeps_calling_the_traced_names(monkeypatch):
     monkeypatch.setattr(
         AgentModel, "classical_predict", counting("classical", AgentModel.classical_predict)
     )
+    for module in (quality, model_module):
+        monkeypatch.setattr(module, "kernel_vec", counting("kernel", module.kernel_vec))
     for graph in (fully_connected(4), ring):
         for x in rng.uniform(-1.2, 1.2, size=(3, 1)):
             for key in calls:
@@ -397,12 +401,31 @@ def test_predict_round_keeps_calling_the_traced_names(monkeypatch):
             assert sorted(id(m) for m in calls["score"]) == sorted(id(m) for m in models.values())
             assert 1 <= len(calls["var"]) == len({id(m) for m in calls["var"]}) <= 4
             assert calls["classical"] == []
+            # one stacked kernel vector serves every score and every variance
+            assert len(calls["kernel"]) == 1
+
+            calls["kernel"].clear()
+            predict_round(models, graph, x, MethodSpec("gEIGP"), CFG)
+            assert len(calls["kernel"]) == 1
 
             calls["joint_predict"].clear()
+            calls["kernel"].clear()
             predict_round(models, graph, x, MethodSpec("MOE"), CFG)
             assert calls["joint_predict"] == list(graph.nodes)
             pairs = sum(len(graph.closed_neighborhood(i)) for i in graph.nodes)
-            assert len(calls["classical"]) == pairs
+            assert len(calls["classical"]) == len(calls["kernel"]) == pairs
+
+
+def test_a_round_over_models_of_different_kernels_is_rejected():
+    rng = np.random.default_rng(24)
+    other = KernelConfig(signal_variance=1.0, lengthscale=0.5, noise_variance=0.25)
+    models = {
+        i: AgentModel.from_data(cfg, rng.uniform(-1, 1, size=(10, 1)), rng.normal(size=(10, 1)))
+        for i, cfg in ((1, CFG), (2, CFG), (3, other))
+    }
+    for name in ("gEIGP", "aEIGP"):
+        with pytest.raises(InvalidInputError, match="share one kernel configuration"):
+            predict_round(models, fully_connected(3), [0.1], MethodSpec(name), CFG)
 
 
 def test_run_online_rejects_arrays_of_the_wrong_width():

@@ -12,16 +12,13 @@ from .aggregation import (
     EIGP_METHODS,
     AggregationPlan,
     MethodSpec,
-    TradeoffSpec,
     adaptive_select,
     aeigp_weights,
     baseline_weights,
     error_weights,
     gaussianize_epsilon,
-    generalized_weights,
     greedy_select,
     joint_predict,
-    minmax_normalize,
     proportional_normalize,
 )
 from .bounds import (

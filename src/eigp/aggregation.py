@@ -1,18 +1,21 @@
 """Collaborator selection and weighted joint prediction.
 
-Implements the greedy and adaptive error-informed selectors, the
-generalized trade-off/variance-family weight constructions, the classical
-expert-aggregation baselines (MOE, POE, GPOE, BCM, RBCM) and the joint
-prediction that ties them to the per-agent models.
+Implements the greedy and adaptive error-informed selectors, aEIGP's
+weights and its optional linear or exponential trade-off against a POE or
+BCM variance family, the classical expert-aggregation baselines (MOE, POE,
+GPOE, BCM, RBCM) and the joint prediction that ties them to the per-agent
+models.
 
 All functions read immutable model snapshots. Every method runs one path:
 a query round builds a :class:`RoundTable` of arrays indexed by agent
 position (:func:`evaluate_round`, which scores every agent once for the
 EIGP methods), and one batched pass then selects and weighs for every
 requester, each over its own closed neighborhood, into a requester x agent
-weight matrix; an :class:`AggregationPlan` is a view on one row. The dict
-helpers (``greedy_select``, ``aeigp_weights``, ``baseline_weights``, ...)
-run the same row kernels on a single row. Powers use ``np.float_power``,
+weight matrix; an :class:`AggregationPlan` is a view on one row. The seven
+dict helpers that the acceptance criteria call (``greedy_select``,
+``adaptive_select``, ``gaussianize_epsilon``, ``error_weights``,
+``aeigp_weights``, ``baseline_weights``, ``proportional_normalize``) run the
+same row kernels on a single row. Powers use ``np.float_power``,
 which calls the C library's ``pow`` as Python's ``**`` does (``np.power``
 takes square, sqrt and SIMD shortcuts that round differently), and the log
 gain stays ``math.log``: a batched round predicts bit for bit what one
@@ -42,35 +45,21 @@ VARIANCE_FAMILIES = ("poe", "bcm")
 
 
 @dataclass(frozen=True)
-class TradeoffSpec:
-    """Trade-off function and variance family for the generalized weights.
-
-    The blend parameter nu is the method's (:attr:`MethodSpec.nu`). The
-    power trade-off needs no spec: with either family it is aEIGP's own
-    weighting, as the family's row denominator cancels in the normalization.
-    """
-
-    kind: str
-    variance_family: str = "bcm"
-
-    def __post_init__(self):
-        if self.kind not in TRADEOFF_KINDS:
-            raise InvalidInputError(
-                f"unknown trade-off kind {self.kind!r}, expected one of {TRADEOFF_KINDS}"
-            )
-        if self.variance_family not in VARIANCE_FAMILIES:
-            raise InvalidInputError(f"unknown variance family {self.variance_family!r}")
-
-
-@dataclass(frozen=True)
 class MethodSpec:
-    """Aggregation method plus its parameters for a run."""
+    """Aggregation method plus its parameters for a run.
+
+    ``tradeoff`` (aEIGP only) weighs the error weights against the scores
+    of ``variance_family`` instead of by aEIGP's own weighting, which is
+    the paper's power trade-off for either family (the family's row
+    denominator cancels in the normalization).
+    """
 
     name: str
     nu: float = 0.5
     theta: float = 1.0
     rho_policy: RhoPolicy = field(default_factory=RhoPolicy)
-    tradeoff: TradeoffSpec | None = None
+    tradeoff: str | None = None
+    variance_family: str = "bcm"
 
     def __post_init__(self):
         if self.name not in ALL_METHODS:
@@ -79,6 +68,18 @@ class MethodSpec:
             raise InvalidInputError("nu must lie in [0, 1]")
         if not 0 <= as_real("theta", self.theta) < math.inf:  # NaN too
             raise InvalidInputError("theta must be finite and nonnegative")
+        if self.tradeoff is not None:
+            if self.tradeoff not in TRADEOFF_KINDS:
+                raise InvalidInputError(
+                    f"unknown trade-off kind {self.tradeoff!r}, expected one of {TRADEOFF_KINDS}"
+                )
+            if self.name != "aEIGP":
+                raise InvalidInputError(f"a trade-off weighs aEIGP only, not {self.name}")
+        if self.variance_family not in VARIANCE_FAMILIES:
+            raise InvalidInputError(
+                f"unknown variance family {self.variance_family!r}, "
+                f"expected one of {VARIANCE_FAMILIES}"
+            )
 
     @property
     def is_baseline(self) -> bool:
@@ -260,14 +261,6 @@ def _normalize_rows(S: np.ndarray) -> np.ndarray:
     return S / total
 
 
-def minmax_normalize(v) -> np.ndarray:
-    """Rescale a vector to [0, 1]; constant or single-element input maps to ones."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size == 0:
-        raise InvalidInputError("cannot normalize an empty vector")
-    return _minmax_rows(v[None, :], np.ones((1, v.size), dtype=bool))[0]
-
-
 def proportional_normalize(values: dict[int, float]) -> dict[int, float]:
     """Divide each value by the total so the results sum to one."""
     if not values:
@@ -282,8 +275,8 @@ def error_weights(
     selected = [s for s in sorted(phi) if phi[s]]
     if not selected:
         raise InvalidInputError("no agent selected")
-    scaled = minmax_normalize([tilde_eps[s] for s in selected])
-    return dict(zip(selected, scaled.tolist()))
+    scaled = _minmax_rows(_row(tilde_eps, selected), np.ones((1, len(selected)), dtype=bool))
+    return dict(zip(selected, scaled[0].tolist()))
 
 
 def _log_precision_gain(cfg: KernelConfig, var: float, agent: int) -> float:
@@ -332,16 +325,18 @@ def _family_rows(family: str, G, V, sel, prior: float) -> np.ndarray:
     return N / denom
 
 
-def _generalized_rows(TW, sel, G, V, nu: float, spec: TradeoffSpec, prior: float):
-    """Generalized trade-off weights of each row.
+def _generalized_rows(TW, sel, G, V, method: MethodSpec, prior: float):
+    """The trade-off weights of each row: the method's kind blends TW with its family's scores.
 
     TW and the family scores are zero off the selection, and so are the
-    linear scores. The exponential kind calls ``math.exp`` per
-    selected entry: ``np.exp`` rounds differently in a few values in a
-    thousand.
+    linear scores; on it every score is positive (TW holds a 1 in each row
+    and every family score is positive). The exponential kind calls
+    ``math.exp`` per selected entry: ``np.exp`` rounds differently in a few
+    values in a thousand.
     """
-    F = _family_rows(spec.variance_family, G, V, sel, prior)
-    if spec.kind == "linear":
+    nu = method.nu
+    F = _family_rows(method.variance_family, G, V, sel, prior)
+    if method.tradeoff == "linear":
         scores = nu * TW + (1.0 - nu) * F
     else:  # exponential
         scores = np.zeros(TW.shape)
@@ -349,8 +344,6 @@ def _generalized_rows(TW, sel, G, V, nu: float, spec: TradeoffSpec, prior: float
             math.exp(nu * a) + math.exp((1.0 - nu) * f)
             for a, f in zip(TW[sel].tolist(), F[sel].tolist())
         ]
-    flat = ~scores.any(axis=1)
-    scores[flat] = sel[flat]
     return _normalize_rows(scores)
 
 
@@ -374,17 +367,6 @@ def _baseline_rows(name: str, V, ids: list[int], cfg: KernelConfig) -> np.ndarra
     return _normalize_rows(_family_rows(family, G, V, whole, cfg.prior_plus_noise))
 
 
-def _weight_inputs(tilde_w, variances, nu: float, cfg: KernelConfig):
-    """One row of error weights, gains and variances from dicts keyed by agent id."""
-    if set(tilde_w) != set(variances):
-        raise InvalidInputError("tilde_w and variances must cover the same agents")
-    if not 0.0 <= nu <= 1.0:
-        raise InvalidInputError("nu must lie in [0, 1]")
-    ids = sorted(tilde_w)
-    gains = np.array([[_log_precision_gain(cfg, variances[s], s) for s in ids]])
-    return ids, _row(tilde_w, ids), gains, _row(variances, ids)
-
-
 def aeigp_weights(
     tilde_w: dict[int, float],
     variances: dict[int, float],
@@ -403,26 +385,13 @@ def aeigp_weights(
     it cancels in the normalizer; if the prior correction drives it
     nonpositive, any positive stand-in (1) yields the same final weights.
     """
-    ids, TW, G, V = _weight_inputs(tilde_w, variances, nu, cfg)
-    return dict(zip(ids, _aeigp_rows(TW, G, 1.0 / V, nu, cfg.prior_plus_noise)[0].tolist()))
-
-
-def generalized_weights(
-    tilde_w: dict[int, float],
-    variances: dict[int, float],
-    nu: float,
-    spec: TradeoffSpec,
-    cfg: KernelConfig,
-) -> dict[int, float]:
-    """Trade off error-informed and variance-based scores, then normalize.
-
-    The per-agent score is Phi(tilde_w_s, family_score_s, nu) for the
-    configured trade-off kind; proportional normalization makes the final
-    weights sum to one.
-    """
-    ids, TW, G, V = _weight_inputs(tilde_w, variances, nu, cfg)
-    whole = np.ones(TW.shape, dtype=bool)
-    row = _generalized_rows(TW, whole, G, V, nu, spec, cfg.prior_plus_noise)
+    if set(tilde_w) != set(variances):
+        raise InvalidInputError("tilde_w and variances must cover the same agents")
+    if not 0.0 <= nu <= 1.0:
+        raise InvalidInputError("nu must lie in [0, 1]")
+    ids = sorted(tilde_w)
+    G = np.array([[_log_precision_gain(cfg, variances[s], s) for s in ids]])
+    row = _aeigp_rows(_row(tilde_w, ids), G, 1.0 / _row(variances, ids), nu, cfg.prior_plus_noise)
     return dict(zip(ids, row[0].tolist()))
 
 
@@ -509,7 +478,7 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
                 P = np.where(sel, precisions[cols], 0.0)
                 w = _aeigp_rows(w, G, P, nu, prior)
             else:
-                w = _generalized_rows(w, sel, G, variances[cols], nu, method.tradeoff, prior)
+                w = _generalized_rows(w, sel, G, variances[cols], method, prior)
         rows = rows[:, None]
         weights[rows, cols] = w
         selected[rows, cols] = sel

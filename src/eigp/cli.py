@@ -177,8 +177,11 @@ def cmd_compare(args) -> int:
     if len(set(keys)) != 1:
         raise ComparisonError(f"runs mix scenarios/seeds: {sorted(set(keys))}")
 
-    order = sorted(range(len(rows)), key=lambda i: rows[i]["mean_time_ms"])
-    marks = {order[0]: "fastest", order[1]: "second"}
+    times = [row["mean_time_ms"] for row in rows]
+    order = sorted(range(len(rows)), key=times.__getitem__)
+    # a rank is marked only where no other run has the same time
+    ranks = zip(order, ("fastest", "second"))
+    marks = {i: mark for i, mark in ranks if times.count(times[i]) == 1}
 
     header = f"{'method':<14}{'mean_time_ms':>14}{'final_smse':>14}{'active_agents':>15}  note"
     lines = [header, "-" * len(header)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .aggregation import VARIANCE_FAMILIES, MethodSpec, TradeoffSpec
+from .aggregation import MethodSpec
 from .bounds import BoundParams
 from .errors import ConfigError, InvalidInputError
 from .graph import build_graph
@@ -67,8 +67,6 @@ class ExperimentConfig:
         for name in ("dataset", "out_dir"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
-        if self.variance_family not in VARIANCE_FAMILIES:
-            raise ConfigError(f"variance_family must be one of {VARIANCE_FAMILIES}")
         object.__setattr__(self, "kernel", _merged("kernel", self.kernel, _DEFAULT_KERNEL))
         cfg = self.kernel_config()  # validates kernel ranges
         try:  # the method's, the rho policy's, the schedule's and the bounds' own rules
@@ -128,15 +126,9 @@ class ExperimentConfig:
         return BoundParams.for_kernel(cfg, b["tau"], b["delta"], b["delta_n"], lower, upper)
 
     def method_spec(self) -> MethodSpec:
-        tradeoff = None
-        if self.tradeoff is not None:
-            tradeoff = TradeoffSpec(kind=self.tradeoff, variance_family=self.variance_family)
+        rho_policy = RhoPolicy(self.rho_policy, self.rho_value)
         return MethodSpec(
-            name=self.method,
-            nu=self.nu,
-            theta=self.theta,
-            rho_policy=RhoPolicy(self.rho_policy, self.rho_value),
-            tradeoff=tradeoff,
+            self.method, self.nu, self.theta, rho_policy, self.tradeoff, self.variance_family
         )
 
     # ------------------------------------------------------------------

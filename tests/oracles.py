@@ -166,7 +166,7 @@ def joint_predict_per_requester(requester, x, models, graph, method, cfg):
                 weights = _aeigp_weights(tilde_w, variances, method.nu, cfg)
             else:
                 weights = _generalized_weights(
-                    tilde_w, variances, method.nu, method.tradeoff, cfg
+                    tilde_w, variances, method.nu, method.tradeoff, method.variance_family, cfg
                 )
     tiled = _tile(weights, d)
     prediction = np.zeros(d)
@@ -301,19 +301,17 @@ def _family_scores(family, gains, variances, cfg):
     return {s: numerators[s] / denom for s in ids}
 
 
-def _generalized_weights(tilde_w, variances, nu, spec, cfg):
+def _generalized_weights(tilde_w, variances, nu, kind, family, cfg):
     ids = sorted(tilde_w)
     gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
-    family = _family_scores(spec.variance_family, gains, variances, cfg)
+    family_scores = _family_scores(family, gains, variances, cfg)
     scores = {}
     for s in ids:
-        a, b = tilde_w[s], family[s]
-        if spec.kind == "linear":
+        a, b = tilde_w[s], family_scores[s]
+        if kind == "linear":
             scores[s] = nu * a + (1.0 - nu) * b
         else:  # exponential
             scores[s] = math.exp(nu * a) + math.exp((1.0 - nu) * b)
-    if all(v == 0.0 for v in scores.values()):
-        scores = {s: 1.0 for s in ids}
     return _proportional_normalize(scores)
 
 

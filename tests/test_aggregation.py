@@ -2,6 +2,7 @@
 
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,21 +16,26 @@ from eigp import (
     InvalidInputError,
     KernelConfig,
     MethodSpec,
-    TradeoffSpec,
     adaptive_select,
     aeigp_weights,
     baseline_weights,
     error_weights,
     fully_connected,
     gaussianize_epsilon,
-    generalized_weights,
     greedy_select,
     joint_predict,
-    minmax_normalize,
     predict_round,
     proportional_normalize,
 )
-from eigp.aggregation import BASELINE_METHODS, TRADEOFF_KINDS, VARIANCE_FAMILIES, _row_std
+from eigp.aggregation import (
+    BASELINE_METHODS,
+    TRADEOFF_KINDS,
+    VARIANCE_FAMILIES,
+    _generalized_rows,
+    _log_precision_gain,
+    _minmax_rows,
+    _row_std,
+)
 from eigp.quality import RhoPolicy, score_and_approx_mean
 from eigp.sim import toy_training_data
 import oracles
@@ -150,16 +156,32 @@ def test_selection_invariant_under_positive_affine_rescale():
 # ----------------------------------------------------------------------
 
 
+def minmax(values):
+    """The min-max row kernel on one row, every entry selected."""
+    row = np.array([values], dtype=float)
+    return _minmax_rows(row, np.ones(row.shape, dtype=bool))[0]
+
+
+def tradeoff_weights(tilde_w, variances, nu, kind, family):
+    """The trade-off row kernel on one row, every agent selected, keyed by agent id."""
+    ids = sorted(tilde_w)
+    TW, V = (np.array([[values[s] for s in ids]], dtype=float) for values in (tilde_w, variances))
+    G = np.array([[_log_precision_gain(CFG, variances[s], s) for s in ids]])
+    method = MethodSpec("aEIGP", nu=nu, tradeoff=kind, variance_family=family)
+    row = _generalized_rows(TW, np.ones(TW.shape, dtype=bool), G, V, method, CFG.prior_plus_noise)
+    return dict(zip(ids, row[0].tolist()))
+
+
 def test_minmax_examples():
-    assert minmax_normalize([2.0, 4.0, 6.0]).tolist() == [0.0, 0.5, 1.0]
-    assert minmax_normalize([3.3]).tolist() == [1.0]
-    assert minmax_normalize([5.0, 5.0, 5.0]).tolist() == [1.0, 1.0, 1.0]
+    assert minmax([2.0, 4.0, 6.0]).tolist() == [0.0, 0.5, 1.0]
+    assert minmax([3.3]).tolist() == [1.0]
+    assert minmax([5.0, 5.0, 5.0]).tolist() == [1.0, 1.0, 1.0]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_minmax_range_and_order(values):
-    out = minmax_normalize(values)
+    out = minmax(values)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     order = np.argsort(values, kind="stable")
     assert np.all(np.diff(out[order]) >= -1e-15)
@@ -207,10 +229,9 @@ def test_aeigp_rejects_bad_variances():
 
 
 def test_generalized_linear_nu_one_ignores_variances():
-    spec = TradeoffSpec(kind="linear", variance_family="poe")
     tw = {1: 1.0, 2: 0.25}
-    a = generalized_weights(tw, {1: 0.1, 2: 0.9}, 1.0, spec, CFG)
-    b = generalized_weights(tw, {1: 0.7, 2: 0.2}, 1.0, spec, CFG)
+    a = tradeoff_weights(tw, {1: 0.1, 2: 0.9}, 1.0, "linear", "poe")
+    b = tradeoff_weights(tw, {1: 0.7, 2: 0.2}, 1.0, "linear", "poe")
     for s in tw:
         assert a[s] == pytest.approx(b[s], rel=1e-14)
         assert a[s] == pytest.approx(tw[s] / 1.25, rel=1e-12)
@@ -219,15 +240,13 @@ def test_generalized_linear_nu_one_ignores_variances():
 def test_generalized_linear_poe_hand_case():
     # equal precisions make the family scores 1/2 each; nu = 0.5 blends with
     # tilde_w {1, 0} to scores {0.75, 0.25}, already summing to one
-    spec = TradeoffSpec(kind="linear", variance_family="poe")
-    weights = generalized_weights({1: 1.0, 2: 0.0}, {1: 0.3, 2: 0.3}, 0.5, spec, CFG)
+    weights = tradeoff_weights({1: 1.0, 2: 0.0}, {1: 0.3, 2: 0.3}, 0.5, "linear", "poe")
     assert weights[1] == pytest.approx(0.75, rel=1e-12)
     assert weights[2] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_generalized_exponential_gives_simplex():
-    spec = TradeoffSpec(kind="exponential", variance_family="bcm")
-    weights = generalized_weights({1: 1.0, 2: 0.3}, {1: 0.2, 2: 0.5}, 0.4, spec, CFG)
+    weights = tradeoff_weights({1: 1.0, 2: 0.3}, {1: 0.2, 2: 0.5}, 0.4, "exponential", "bcm")
     assert_simplex(weights)
 
 
@@ -489,7 +508,7 @@ def round_methods():
             yield MethodSpec("aEIGP", nu=nu, theta=theta)
     for kind in TRADEOFF_KINDS:
         for family in VARIANCE_FAMILIES:
-            yield MethodSpec("aEIGP", nu=0.5, theta=4.0, tradeoff=TradeoffSpec(kind, family))
+            yield MethodSpec("aEIGP", 0.5, 4.0, tradeoff=kind, variance_family=family)
 
 
 def assert_round_matches_oracle(models, graph, x, method, cfg):
@@ -539,7 +558,7 @@ def test_batched_round_matches_per_requester_oracle(graph_name, d):
             (RhoPolicy("constant", 0.99), np.array([9.0])),
         ):
             for method in round_methods():
-                method = MethodSpec(method.name, method.nu, method.theta, rho, method.tradeoff)
+                method = replace(method, rho_policy=rho)
                 assert assert_round_matches_oracle(models, graph, x, method, cfg)
 
 
@@ -564,7 +583,7 @@ def dict_generalized_weights(models, graph, requester, x, method):
     selected, phi = adaptive_select(eps, method.theta)
     tilde_w = error_weights(gaussianize_epsilon(eps), phi)
     variances = {s: models[s].posterior_var(x) for s in selected}
-    return generalized_weights(tilde_w, variances, method.nu, method.tradeoff, CFG)
+    return tradeoff_weights(tilde_w, variances, method.nu, method.tradeoff, method.variance_family)
 
 
 @pytest.mark.parametrize("family", VARIANCE_FAMILIES)
@@ -578,7 +597,7 @@ def test_nu_one_tradeoff_round_weighs_as_generalized_weights(kind, family):
         for i, b in enumerate(blocks, start=1)
     }
     x = [0.1]
-    method = MethodSpec("aEIGP", nu=1.0, theta=4.0, tradeoff=TradeoffSpec(kind, family))
+    method = MethodSpec("aEIGP", 1.0, 4.0, tradeoff=kind, variance_family=family)
     for graph in (fully_connected(4), Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])):
         expected = {i: dict_generalized_weights(models, graph, i, x, method) for i in graph.nodes}
         plans = predict_round(models, graph, x, method, CFG)[1]
@@ -603,9 +622,9 @@ def test_row_kernels_match_dict_oracle_bit_for_bit():
         assert aeigp_weights(tilde_w, variances, nu, CFG) == oracles._aeigp_weights(
             tilde_w, variances, nu, CFG
         )
-        spec = TradeoffSpec(str(rng.choice(TRADEOFF_KINDS)), str(rng.choice(VARIANCE_FAMILIES)))
-        assert generalized_weights(tilde_w, variances, nu, spec, CFG) == (
-            oracles._generalized_weights(tilde_w, variances, nu, spec, CFG)
+        kind, family = str(rng.choice(TRADEOFF_KINDS)), str(rng.choice(VARIANCE_FAMILIES))
+        assert tradeoff_weights(tilde_w, variances, nu, kind, family) == (
+            oracles._generalized_weights(tilde_w, variances, nu, kind, family, CFG)
         )
         name = BASELINE_METHODS[i % len(BASELINE_METHODS)]
         assert baseline_weights(name, variances, CFG) == (

@@ -172,6 +172,31 @@ def test_compare_marks_fastest(tmp_path, capsys):
     assert (tmp_path / "cmp" / "comparison.json").exists()
 
 
+def test_compare_marks_no_tied_run(tmp_path, capsys):
+    # --no-timing runs all read 0.0 ms: no order, so no mark
+    config = write_config(tmp_path)
+    runs = []
+    for method in ("gEIGP", "MOE", "aEIGP"):
+        out = tmp_path / method
+        argv = ["run", "--config", str(config), "--out", str(out), "--method", method]
+        assert main([*argv, "--no-timing"]) == 0
+        runs.append(str(out))
+    capsys.readouterr()
+    for pair in (runs[:1] * 2, runs):
+        assert main(["compare", *pair, "--out", str(tmp_path / "cmp")]) == 0
+        table = capsys.readouterr().out
+        assert "fastest" not in table and "second" not in table
+        notes = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert [row["note"] for row in notes] == [""] * len(pair)
+    # a tie below a unique fastest run leaves only "second" unmarked
+    summary = json.loads((tmp_path / "MOE" / "summary.json").read_text())
+    summary["mean_prediction_time_ms"] = -1.0
+    (tmp_path / "MOE" / "summary.json").write_text(json.dumps(summary))
+    assert main(["compare", *runs, "--out", str(tmp_path / "cmp")]) == 0
+    notes = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+    assert [row["note"] for row in notes] == ["", "fastest", ""]
+
+
 def test_compare_rejects_mismatched_runs(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out_a)]) == 0
@@ -338,6 +363,8 @@ def test_toy_config_rejects_a_graph_it_would_not_use(tmp_path, capsys):
         {"scenario": "stream", "steps": 1.5},
         {"scenario": "stream", "steps": 20, "capacity": 2.5},
         {"variance_family": "bogus"},
+        {"tradeoff": "linear"},
+        {"method": "MOE", "tradeoff": "exponential"},
         {"rho_policy": "constant", "rho_value": "x"},
         {"scenario": "stream", "dataset": 7},
         {"out_dir": 5},

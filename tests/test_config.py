@@ -15,7 +15,7 @@ from eigp import (
     beta_delta,
     toy_stream,
 )
-from eigp.aggregation import TRADEOFF_KINDS, MethodSpec, TradeoffSpec
+from eigp.aggregation import TRADEOFF_KINDS, MethodSpec
 from eigp.bounds import BoundParams
 from eigp.quality import RHO_KINDS, RhoPolicy
 from eigp.sim import TOY_INTERVAL
@@ -77,8 +77,18 @@ def test_range_validation():
 def test_method_spec_carries_tradeoff():
     config = ExperimentConfig(method="aEIGP", nu=0.5, tradeoff="linear", variance_family="poe")
     spec = config.method_spec()
-    assert spec.tradeoff.kind == "linear"
-    assert spec.tradeoff.variance_family == "poe"
+    assert (spec.tradeoff, spec.variance_family) == ("linear", "poe")
+
+
+@pytest.mark.parametrize("method", ["gEIGP", "MOE", "RBCM"])
+def test_a_trade_off_on_a_method_but_aeigp_is_rejected(method):
+    # the round weighs a trade-off only under aEIGP, so elsewhere it was ignored
+    with pytest.raises(InvalidInputError, match=f"a trade-off weighs aEIGP only, not {method}"):
+        MethodSpec(method, tradeoff="linear")
+    with pytest.raises(ConfigError, match="a trade-off weighs aEIGP only"):
+        ExperimentConfig(method=method, tradeoff="exponential")
+    # a variance family without a trade-off is read by nothing, and stays accepted
+    assert ExperimentConfig(method=method, variance_family="poe").method_spec().tradeoff is None
 
 
 def test_from_json_reports_bad_files(tmp_path):
@@ -180,7 +190,7 @@ def test_the_logarithmic_trade_off_and_the_min_rho_policy_are_typed_errors():
     assert RHO_KINDS == ("constant", "mean")
     for kind in ("logarithmic", "power"):
         with pytest.raises(InvalidInputError):
-            TradeoffSpec(kind)
+            MethodSpec("aEIGP", tradeoff=kind)
     for kind in ("min", "median"):
         with pytest.raises(InvalidInputError):
             RhoPolicy(kind)

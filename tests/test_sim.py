@@ -111,6 +111,19 @@ def test_offline_toy_baselines_engage_everyone():
         assert rec.active_agents == 16  # 4 agents x 4 models
 
 
+def test_bcm_predicts_as_poe_and_rbcm_as_gpoe():
+    # a known defect, recorded rather than fixed: every baseline's weights are
+    # normalized to sum to one, so BCM's prior correction, one constant per
+    # row of the weights, cancels
+    predictions = {}
+    for name in ("POE", "GPOE", "BCM", "RBCM"):
+        records = run_offline_toy(CFG, MethodSpec(name), seed=0).records
+        predictions[name] = np.array([list(r.predictions.values()) for r in records])
+    for bcm, poe in (("BCM", "POE"), ("RBCM", "GPOE")):
+        gap = np.abs(predictions[bcm] - predictions[poe]).max()
+        assert gap <= 1e-12 * np.abs(predictions[poe]).max()
+
+
 def test_single_agent_online_reduces_to_plain_gp():
     rng = np.random.default_rng(11)
     xs = rng.uniform(-1, 1, size=25)

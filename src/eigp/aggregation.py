@@ -4,7 +4,9 @@ Implements the greedy and adaptive error-informed selectors, aEIGP's
 weights and its optional linear or exponential trade-off against a POE or
 BCM variance family, the classical expert-aggregation baselines (MOE, POE,
 GPOE, BCM, RBCM) and the joint prediction that ties them to the per-agent
-models.
+models. Every weight row sums to one, so a positive factor shared by a
+row's scores cancels and is not computed: aEIGP's aggregate variance, and
+BCM's prior correction, which makes BCM weigh as POE and RBCM as GPOE.
 
 All functions read immutable model snapshots. Every method runs one path:
 a query round builds a :class:`RoundTable` of arrays indexed by agent
@@ -49,9 +51,9 @@ class MethodSpec:
     """Aggregation method plus its parameters for a run.
 
     ``tradeoff`` (aEIGP only) weighs the error weights against the scores
-    of ``variance_family`` instead of by aEIGP's own weighting, which is
-    the paper's power trade-off for either family (the family's row
-    denominator cancels in the normalization).
+    of ``variance_family`` (``bcm`` if not given) instead of by aEIGP's own
+    weighting, which is the paper's power trade-off for either family (the
+    family's row denominator cancels in the normalization).
     """
 
     name: str
@@ -59,7 +61,7 @@ class MethodSpec:
     theta: float = 1.0
     rho_policy: RhoPolicy = field(default_factory=RhoPolicy)
     tradeoff: str | None = None
-    variance_family: str = "bcm"
+    variance_family: str | None = None
 
     def __post_init__(self):
         if self.name not in ALL_METHODS:
@@ -75,11 +77,15 @@ class MethodSpec:
                 )
             if self.name != "aEIGP":
                 raise InvalidInputError(f"a trade-off weighs aEIGP only, not {self.name}")
-        if self.variance_family not in VARIANCE_FAMILIES:
-            raise InvalidInputError(
-                f"unknown variance family {self.variance_family!r}, "
-                f"expected one of {VARIANCE_FAMILIES}"
-            )
+            if self.variance_family is None:
+                object.__setattr__(self, "variance_family", "bcm")
+            if self.variance_family not in VARIANCE_FAMILIES:
+                raise InvalidInputError(
+                    f"unknown variance family {self.variance_family!r}, "
+                    f"expected one of {VARIANCE_FAMILIES}"
+                )
+        elif self.variance_family is not None:
+            raise InvalidInputError("a variance family weighs only with a trade-off")
 
     @property
     def is_baseline(self) -> bool:
@@ -292,29 +298,23 @@ def _log_precision_gain(cfg: KernelConfig, var: float, agent: int) -> float:
     return math.log(cap / var)
 
 
-def _aeigp_rows(TW, G, P, nu: float, prior: float) -> np.ndarray:
+def _aeigp_rows(TW, G, P, nu: float) -> np.ndarray:
     """aEIGP weights of each row from error weights TW, gains G and precisions P.
 
     G and P are zero off the selection, which makes every term there zero.
     """
-    precision = (TW * G * P).cumsum(axis=1)[:, -1]
-    tw_nu = np.float_power(TW, nu)
-    blend = tw_nu * np.float_power(G, 1.0 - nu)
-    precision += (1.0 - blend.cumsum(axis=1)[:, -1]) / prior
-    agg_var = np.ones(precision.shape)
-    np.divide(1.0, precision, out=agg_var, where=precision > 0)
-    return _normalize_rows(tw_nu * np.float_power(G * P * agg_var[:, None], 1.0 - nu))
+    return _normalize_rows(np.float_power(TW, nu) * np.float_power(G * P, 1.0 - nu))
 
 
-def _family_rows(family: str, G, V, sel, prior: float) -> np.ndarray:
-    """POE or BCM variance-family scores of each row from gains G and variances V.
+def _family_rows(family: str, G, P, prior: float) -> np.ndarray:
+    """POE or BCM variance-family scores of each row from gains G and precisions P.
 
     An agent's score is its gain times its precision over the row's
     denominator: the sum of those numerators (POE), or the sum of the
     precisions plus the prior correction (1 - sum of gains) / prior (BCM).
-    G is zero off the selection ``sel``; V is read, and positive, only on it.
+    Only the trade-offs read them: a trade-off mixes them with TW, so the
+    denominator does not cancel. G and P are zero off the selection.
     """
-    P = np.divide(1.0, V, out=np.zeros(V.shape), where=sel)
     N = G * P
     if family == "poe":
         denom = N.cumsum(axis=1)[:, -1:]
@@ -325,7 +325,7 @@ def _family_rows(family: str, G, V, sel, prior: float) -> np.ndarray:
     return N / denom
 
 
-def _generalized_rows(TW, sel, G, V, method: MethodSpec, prior: float):
+def _generalized_rows(TW, sel, G, P, method: MethodSpec, prior: float):
     """The trade-off weights of each row: the method's kind blends TW with its family's scores.
 
     TW and the family scores are zero off the selection, and so are the
@@ -335,7 +335,7 @@ def _generalized_rows(TW, sel, G, V, method: MethodSpec, prior: float):
     values in a thousand.
     """
     nu = method.nu
-    F = _family_rows(method.variance_family, G, V, sel, prior)
+    F = _family_rows(method.variance_family, G, P, prior)
     if method.tradeoff == "linear":
         scores = nu * TW + (1.0 - nu) * F
     else:  # exponential
@@ -353,18 +353,16 @@ def _baseline_rows(name: str, V, ids: list[int], cfg: KernelConfig) -> np.ndarra
     The differential-entropy difference of GPOE and RBCM is half the log
     precision gain.
     """
-    if name == "MOE":
+    if name == "MOE":  # reads no variance
         return np.full(V.shape, 1.0 / V.shape[1])
     entries = list(zip(V.ravel().tolist(), ids))
     for v, s in entries:
         if v <= 0:
             raise InvalidInputError(f"agent {s}: posterior variance must be positive")
-    G = np.ones(V.shape)  # POE, BCM
+    G = 1.0  # POE, BCM
     if name in ("GPOE", "RBCM"):
         G = np.array([0.5 * _log_precision_gain(cfg, v, s) for v, s in entries]).reshape(V.shape)
-    family = "poe" if name in ("POE", "GPOE") else "bcm"
-    whole = np.ones(V.shape, dtype=bool)
-    return _normalize_rows(_family_rows(family, G, V, whole, cfg.prior_plus_noise))
+    return _normalize_rows(G / V)
 
 
 def aeigp_weights(
@@ -375,15 +373,12 @@ def aeigp_weights(
 ) -> dict[int, float]:
     """Error-informed weights blending tilde_w with posterior precision.
 
-    Each agent's score is tilde_w^nu * (gain * precision * agg_var)^(1-nu),
-    where gain = log((kappa0 + noise)/variance) and agg_var is the aggregate
-    variance formed from the gain-scaled precisions with a prior-correction
-    term. nu = 1 reduces to proportionally normalized tilde_w; nu = 0 drops
-    the error information entirely (a selective precision rule).
-
-    agg_var is a shared positive scale raised to (1 - nu) in every score, so
-    it cancels in the normalizer; if the prior correction drives it
-    nonpositive, any positive stand-in (1) yields the same final weights.
+    Each agent's score is tilde_w^nu * (gain * precision)^(1-nu), where
+    gain = log((kappa0 + noise)/variance), normalized to sum to one. nu = 1
+    reduces to proportionally normalized tilde_w; nu = 0 drops the error
+    information entirely (a selective precision rule). The paper's aggregate
+    variance, a factor of gain * precision, is one constant per row: its
+    (1 - nu)-th power cancels in the normalization, so it is not computed.
     """
     if set(tilde_w) != set(variances):
         raise InvalidInputError("tilde_w and variances must cover the same agents")
@@ -391,7 +386,7 @@ def aeigp_weights(
         raise InvalidInputError("nu must lie in [0, 1]")
     ids = sorted(tilde_w)
     G = np.array([[_log_precision_gain(cfg, variances[s], s) for s in ids]])
-    row = _aeigp_rows(_row(tilde_w, ids), G, 1.0 / _row(variances, ids), nu, cfg.prior_plus_noise)
+    row = _aeigp_rows(_row(tilde_w, ids), G, 1.0 / _row(variances, ids), nu)
     return dict(zip(ids, row[0].tolist()))
 
 
@@ -434,9 +429,9 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
     selected = np.zeros((k, k), dtype=bool)
     degenerate = np.zeros(k, dtype=bool)
     some_empty = table.empty.any()
-    gains, precisions, variances = np.zeros((3, k))  # read once per agent, only when selected
+    gains, precisions = np.zeros((2, k))  # read once per agent, only when selected
     if baseline:
-        table.means = np.zeros((k, cfg.output_dim))
+        table.means, variances = np.zeros((k, cfg.output_dim)), np.zeros(k)
     for rows, cols in groups:
         if baseline:
             pairs = cols.ravel().tolist()
@@ -471,14 +466,12 @@ def _weigh(table: RoundTable, groups, models, x, method: MethodSpec, cfg: Kernel
                     k_row = table.scores[p].idx.kernel_values
                     var = models[table.ids[p]].posterior_var(x, k_row)
                     gains[p] = _log_precision_gain(cfg, var, table.ids[p])
-                    precisions[p], variances[p] = 1.0 / var, var
-            G = np.where(sel, gains[cols], 0.0)
-            prior = cfg.prior_plus_noise
+                    precisions[p] = 1.0 / var
+            G, P = np.where(sel, gains[cols], 0.0), np.where(sel, precisions[cols], 0.0)
             if method.tradeoff is None:
-                P = np.where(sel, precisions[cols], 0.0)
-                w = _aeigp_rows(w, G, P, nu, prior)
+                w = _aeigp_rows(w, G, P, nu)
             else:
-                w = _generalized_rows(w, sel, G, variances[cols], method, prior)
+                w = _generalized_rows(w, sel, G, P, method, cfg.prior_plus_noise)
         rows = rows[:, None]
         weights[rows, cols] = w
         selected[rows, cols] = sel

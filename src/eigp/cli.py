@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -29,6 +30,11 @@ def _atomic_write(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _nulled(record: dict) -> dict:
+    """``record`` with each non-finite float value as None: JSON has no NaN."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in record.items()}
 
 
 def _metrics_csv(result, no_timing: bool) -> str:
@@ -138,7 +144,7 @@ def cmd_run(args) -> int:
     if args.no_timing:
         summary["mean_prediction_time_ms"] = summary["median_prediction_time_ms"] = 0.0
     _atomic_write(os.path.join(out_dir, "metrics.csv"), _metrics_csv(result, args.no_timing))
-    _atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    _atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(_nulled(summary), indent=2) + "\n")
     if config.scenario == "toy":
         _atomic_write(os.path.join(out_dir, "plot.csv"), _plot_csv(result))
     print(
@@ -161,7 +167,7 @@ def _compare_row(run_dir: str) -> tuple[tuple, dict]:
         row = {
             "method": s["method"],
             "mean_time_ms": float(s["mean_prediction_time_ms"]),
-            "final_smse": float(s["final_smse"]),
+            "final_smse": math.nan if s["final_smse"] is None else float(s["final_smse"]),
             "mean_active_agents": float(s["mean_active_agents"]),
             "run": run_dir,
         }
@@ -194,7 +200,7 @@ def cmd_compare(args) -> int:
     print(table)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        payload = [dict(row, note=marks.get(i, "")) for i, row in enumerate(rows)]
+        payload = [_nulled(dict(row, note=marks.get(i, ""))) for i, row in enumerate(rows)]
         _atomic_write(os.path.join(args.out, "comparison.json"), json.dumps(payload, indent=2) + "\n")
     return 0
 

@@ -38,7 +38,7 @@ class ExperimentConfig:
     rho_policy: str = "mean"
     rho_value: float | None = None
     tradeoff: str | None = None
-    variance_family: str = "bcm"
+    variance_family: str | None = None
     agents: int = 4
     graph: object = "full"  # "full" or list of [a, b] edges
     kernel: dict = field(default_factory=dict)

@@ -6,7 +6,10 @@ transcriptions of the paper's error-informed formulas check both.
 ``CopyingModel`` keeps the model's caches by copying on every change, the
 way ``AgentModel`` did before it deleted and appended in its own buffers.
 ``joint_predict_per_requester`` selects and weighs for one requester at a
-time over dicts, the reference for the batched round.
+time over dicts, the reference for the batched round. Its weights are
+the library's reduced formulas; ``_paper_aeigp_weights`` and
+``_paper_baseline_weights`` keep the paper's full ones, with the aggregate
+variance and BCM's prior correction that the normalization cancels.
 """
 
 import math
@@ -271,6 +274,15 @@ def _log_precision_gain(cfg, var, agent):
 
 def _aeigp_weights(tilde_w, variances, nu, cfg):
     ids = sorted(tilde_w)
+    gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
+    precisions = {s: 1.0 / variances[s] for s in ids}
+    scores = {s: tilde_w[s] ** nu * (gains[s] * precisions[s]) ** (1.0 - nu) for s in ids}
+    return _proportional_normalize(scores)
+
+
+def _paper_aeigp_weights(tilde_w, variances, nu, cfg):
+    """The paper's aEIGP weights, with the aggregate variance the library leaves out."""
+    ids = sorted(tilde_w)
     prior = cfg.prior_plus_noise
     gains = {s: _log_precision_gain(cfg, variances[s], s) for s in ids}
     precisions = {s: 1.0 / variances[s] for s in ids}
@@ -316,6 +328,20 @@ def _generalized_weights(tilde_w, variances, nu, kind, family, cfg):
 
 
 def _baseline_weights(method, variances, cfg):
+    ids = sorted(variances)
+    if method == "MOE":
+        return {s: 1.0 / len(ids) for s in ids}
+    for s in ids:
+        if variances[s] <= 0:
+            raise InvalidInputError(f"agent {s}: posterior variance must be positive")
+    if method in ("POE", "BCM"):
+        return _proportional_normalize({s: 1.0 / variances[s] for s in ids})
+    gains = {s: 0.5 * _log_precision_gain(cfg, variances[s], s) for s in ids}
+    return _proportional_normalize({s: gains[s] / variances[s] for s in ids})
+
+
+def _paper_baseline_weights(method, variances, cfg):
+    """The paper's baseline weights, BCM's prior correction included, normalized."""
     ids = sorted(variances)
     if method == "MOE":
         return {s: 1.0 / len(ids) for s in ids}

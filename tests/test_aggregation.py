@@ -168,7 +168,8 @@ def tradeoff_weights(tilde_w, variances, nu, kind, family):
     TW, V = (np.array([[values[s] for s in ids]], dtype=float) for values in (tilde_w, variances))
     G = np.array([[_log_precision_gain(CFG, variances[s], s) for s in ids]])
     method = MethodSpec("aEIGP", nu=nu, tradeoff=kind, variance_family=family)
-    row = _generalized_rows(TW, np.ones(TW.shape, dtype=bool), G, V, method, CFG.prior_plus_noise)
+    every = np.ones(TW.shape, dtype=bool)
+    row = _generalized_rows(TW, every, G, 1.0 / V, method, CFG.prior_plus_noise)
     return dict(zip(ids, row[0].tolist()))
 
 
@@ -630,6 +631,65 @@ def test_row_kernels_match_dict_oracle_bit_for_bit():
         assert baseline_weights(name, variances, CFG) == (
             oracles._baseline_weights(name, variances, CFG)
         )
+
+
+def assert_weights_close(got, want):
+    assert got.keys() == want.keys()
+    for s, w in want.items():
+        assert got[s] == pytest.approx(w, rel=1e-14, abs=0.0)
+
+
+def test_dict_helpers_agree_with_the_paper_formulas():
+    # the library leaves out aEIGP's aggregate variance and BCM's prior
+    # correction, one constant per row that the normalization divides out
+    rng = np.random.default_rng(30)
+    for i in range(2000):
+        k = int(rng.integers(1, 9))
+        ids = range(1, k + 1)
+        tilde_w = {s: float(v) for s, v in zip(ids, rng.uniform(0.0, 1.0, k))}
+        tilde_w[int(rng.integers(1, k + 1))] = 1.0  # min-max scaling puts a 1 in every row
+        variances = {s: float(v) for s, v in zip(ids, rng.uniform(0.01, CFG.kappa0, k))}
+        nu = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+        assert_weights_close(
+            aeigp_weights(tilde_w, variances, nu, CFG),
+            oracles._paper_aeigp_weights(tilde_w, variances, nu, CFG),
+        )
+        name = BASELINE_METHODS[i % len(BASELINE_METHODS)]
+        assert_weights_close(
+            baseline_weights(name, variances, CFG),
+            oracles._paper_baseline_weights(name, variances, CFG),
+        )
+
+
+@pytest.mark.parametrize("graph_name", list(ROUND_GRAPHS))
+def test_round_weights_agree_with_the_paper_formulas(graph_name):
+    graph = ROUND_GRAPHS[graph_name]
+    models = round_models(np.random.default_rng(31), CFG, [10, 14, 9, 14, 12])
+    methods = [MethodSpec(name) for name in ("POE", "GPOE", "BCM", "RBCM")]
+    methods += [
+        MethodSpec("aEIGP", nu=nu, theta=theta, rho_policy=RhoPolicy("constant", 0.3))
+        for nu in (0.0, 0.25, 0.5, 0.75, 1.0)
+        for theta in (0.25, 1.0, 4.0)
+    ]
+    for x in np.random.default_rng(32).uniform(-1.0, 2.5, size=(6, 1)):
+        for method in methods:
+            plans = predict_round(models, graph, x, method, CFG)[1]
+            for i in graph.nodes:
+                neighborhood = graph.closed_neighborhood(i)
+                if method.is_baseline:
+                    variances = {s: models[s].classical_predict(x)[1] for s in neighborhood}
+                    want = oracles._paper_baseline_weights(method.name, variances, CFG)
+                else:
+                    eps = {
+                        s: score_and_approx_mean(models[s], x, method.rho_policy)[0].epsilon
+                        for s in neighborhood
+                    }
+                    selected, phi = oracles._adaptive_select(eps, method.theta)
+                    tilde_w = oracles._error_weights(oracles._gaussianize_epsilon(eps), phi)
+                    variances = {s: models[s].posterior_var(x) for s in selected}
+                    want = oracles._paper_aeigp_weights(tilde_w, variances, method.nu, CFG)
+                got = {s: w.item(0) for s, w in plans[i].weights.items()}
+                assert_weights_close(got, want)
 
 
 def test_dict_sums_run_left_to_right():

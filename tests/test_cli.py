@@ -197,6 +197,31 @@ def test_compare_marks_no_tied_run(tmp_path, capsys):
     assert [row["note"] for row in notes] == ["", "fastest", ""]
 
 
+def strict_json(path):
+    """The file parsed as strict JSON: bare NaN or Infinity raise."""
+
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_a_one_query_run_writes_strict_json(tmp_path, capsys):
+    # one query leaves the cumulative SMSE undefined: its target variance is 0
+    config = write_config(tmp_path, query_points=1)
+    runs = [tmp_path / "gEIGP", tmp_path / "MOE"]
+    for out in runs:
+        argv = ["run", "--config", str(config), "--out", str(out), "--method", out.name]
+        assert main([*argv, "--no-timing"]) == 0
+        summary = strict_json(out / "summary.json")
+        assert summary["final_smse"] is None and summary["window_smse"] is None
+    capsys.readouterr()
+    assert main(["compare", *map(str, runs), "--out", str(tmp_path / "cmp")]) == 0
+    assert "nan" in capsys.readouterr().out
+    rows = strict_json(tmp_path / "cmp" / "comparison.json")
+    assert [row["final_smse"] for row in rows] == [None, None]
+
+
 def test_compare_rejects_mismatched_runs(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out_a)]) == 0
@@ -363,6 +388,7 @@ def test_toy_config_rejects_a_graph_it_would_not_use(tmp_path, capsys):
         {"scenario": "stream", "steps": 1.5},
         {"scenario": "stream", "steps": 20, "capacity": 2.5},
         {"variance_family": "bogus"},
+        {"method": "aEIGP", "variance_family": "poe"},
         {"tradeoff": "linear"},
         {"method": "MOE", "tradeoff": "exponential"},
         {"rho_policy": "constant", "rho_value": "x"},

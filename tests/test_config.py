@@ -87,8 +87,18 @@ def test_a_trade_off_on_a_method_but_aeigp_is_rejected(method):
         MethodSpec(method, tradeoff="linear")
     with pytest.raises(ConfigError, match="a trade-off weighs aEIGP only"):
         ExperimentConfig(method=method, tradeoff="exponential")
-    # a variance family without a trade-off is read by nothing, and stays accepted
-    assert ExperimentConfig(method=method, variance_family="poe").method_spec().tradeoff is None
+    # a variance family without a trade-off would be read by nothing
+    with pytest.raises(ConfigError, match="a variance family weighs only with a trade-off"):
+        ExperimentConfig(method=method, variance_family="poe")
+
+
+def test_a_trade_off_without_a_family_weighs_against_bcm():
+    assert ExperimentConfig().variance_family is None
+    config = ExperimentConfig(method="aEIGP", tradeoff="linear")
+    assert config.variance_family is None
+    assert config.method_spec() == MethodSpec("aEIGP", tradeoff="linear", variance_family="bcm")
+    with pytest.raises(InvalidInputError, match="a variance family weighs only with a trade-off"):
+        MethodSpec("aEIGP", variance_family="bcm")
 
 
 def test_from_json_reports_bad_files(tmp_path):

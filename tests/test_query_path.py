@@ -29,13 +29,25 @@ PER_QUERY = {
     ("kernels", "as_input"),
     ("kernels", "kernel_vec"),
     ("kernels", "gram"),
+    ("kernels", "_scale_exp"),
     ("quality", "kernel_rows"),
     ("quality", "select_indices"),
     ("quality", "score_and_approx_mean"),
+    ("quality", "RhoPolicy.constant_rho"),
+    ("aggregation", "evaluate_round"),
+    ("aggregation", "joint_predict"),
     ("aggregation", "_weigh"),
+    ("aggregation", "_chosen"),
+    ("aggregation", "_row_std"),
     ("aggregation", "_log_precision_gain"),
+    ("aggregation", "AggregationPlan.weights"),
+    ("model", "_solve"),
     ("model", "AgentModel._variance"),
+    ("model", "AgentModel.posterior_var"),
+    ("model", "AgentModel.classical_predict"),
     ("bounds", "tilde_eta"),
+    ("sim", "predict_round"),
+    ("sim", "_run"),
     ("sim", "_round_bounds"),
     ("sim", "_RunningSmse.update"),
 }

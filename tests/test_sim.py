@@ -112,16 +112,15 @@ def test_offline_toy_baselines_engage_everyone():
 
 
 def test_bcm_predicts_as_poe_and_rbcm_as_gpoe():
-    # a known defect, recorded rather than fixed: every baseline's weights are
-    # normalized to sum to one, so BCM's prior correction, one constant per
-    # row of the weights, cancels
+    # every baseline's weights are normalized to sum to one, so BCM's prior
+    # correction, one constant per row of the weights, cancels: the pairs
+    # share one code path
     predictions = {}
     for name in ("POE", "GPOE", "BCM", "RBCM"):
         records = run_offline_toy(CFG, MethodSpec(name), seed=0).records
         predictions[name] = np.array([list(r.predictions.values()) for r in records])
     for bcm, poe in (("BCM", "POE"), ("RBCM", "GPOE")):
-        gap = np.abs(predictions[bcm] - predictions[poe]).max()
-        assert gap <= 1e-12 * np.abs(predictions[poe]).max()
+        assert predictions[bcm].tobytes() == predictions[poe].tobytes()
 
 
 def test_single_agent_online_reduces_to_plain_gp():
